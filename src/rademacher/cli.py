@@ -1,8 +1,10 @@
 """Command line front end.
 
 Every subcommand prints a single JSON object on stdout (or a bare value
-with --plain).  Input errors come back as {"error": {"code", "message"}}
-with exit status 1; malformed flags exit 2 the usual argparse way.
+with --plain).  Domain errors come back as {"error": {"code", "message"}}
+with exit status 1, malformed input with exit status 2; malformed flags
+exit 2 the usual argparse way.  Any other failure inside a subcommand is
+a bug, reported as code "internal" with exit status 1.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import mpmath
 
 from . import eta
 from .dedekind import rademacher_phi
-from .errors import ParseError
+from .errors import DomainError, ParseError
 from .fricke import phi_p
 from .inertia import km_phi, tridiag_signature, tridiag_trace
 from .matrices import FrickeElement, parse_fricke, parse_matrix
@@ -245,9 +247,12 @@ def run(argv=None) -> int:
     except ParseError as exc:
         print(json.dumps({"error": {"code": exc.code, "message": str(exc)}}))
         return 2
-    except ValueError as exc:
-        code = getattr(exc, "code", "domain")
-        print(json.dumps({"error": {"code": code, "message": str(exc)}}))
+    except DomainError as exc:
+        print(json.dumps({"error": {"code": exc.code, "message": str(exc)}}))
+        return 1
+    except (ValueError, ArithmeticError) as exc:
+        message = f"{type(exc).__name__}: {exc}"
+        print(json.dumps({"error": {"code": "internal", "message": message}}))
         return 1
 
     if len(result) == 3:

@@ -1,9 +1,9 @@
 """Error types shared across the package.
 
 DomainError covers mathematically invalid input (bad determinant, wrong
-divisibility, points too close to the real axis, ...). ParseError covers
-malformed text input; the CLI maps it to a usage error instead.  Every
-error carries a short machine-readable ``code``.
+divisibility, points off or too close to the real axis, ...).  ParseError
+covers malformed text input; the CLI maps it to a usage error instead.
+Every error carries a short machine-readable ``code``.
 """
 
 
@@ -57,3 +57,9 @@ class ImaginaryPartError(DomainError):
     """Im(z) too small for the requested precision to be affordable."""
 
     code = "imaginary_part_too_small"
+
+
+class NotUpperHalfPlaneError(DomainError):
+    """z has a non-finite part or Im(z) <= 0."""
+
+    code = "not_upper_half_plane"

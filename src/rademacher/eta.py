@@ -1,13 +1,40 @@
 """Arbitrary-precision evaluation of log eta and the transformation checks.
 
-log eta is computed from the product formula,
+log eta comes from Euler's pentagonal series,
 
-    log eta(z) = pi i z / 12 + sum_{n=1}^{N} Log(1 - q^n),   q = e^{2 pi i z},
+    eta(z) = q^(1/24) S,   S = sum_{n in Z} (-1)^n q^(n(3n-1)/2),   q = e^(2 pi i z),
 
-with principal logarithms term by term (each 1 - q^n lies in the right
-half plane, so the exponential of the sum is eta itself).  N is chosen so
-the dropped tail is below 10^-(P+10), where P is the requested precision
-in decimal digits; all intermediate arithmetic carries 10 guard digits.
+as
+
+    log eta(z) = pi i z / 12 + Log S + 2 pi i k,
+
+where the integer k puts the value on the branch of the product formula
+pi i z / 12 + sum_{n>=1} Log(1 - q^n), with principal logarithms term by
+term (each 1 - q^n lies in the right half plane).  P is the requested
+precision in decimal digits.  The evaluation has three stages.
+
+1. A complex128 pass sums A = sum_{n>=1} Log(1 - q^n) until |q^n| < 2^-60;
+   by Euler's identity prod (1 - q^n) = S, so A is a logarithm of S.
+   Im A fixes k = round((Im A - Im Log S) / 2 pi); a fractional part
+   beyond 1/4 raises ArithmeticError.  Re A is log|S|: near a cusp the
+   alternating sum cancels (|eta(0.001 i)| ~ 6e-113), so the working
+   precision is raised by ceil(-log10 |S|) digits on top of the
+   GUARD_DIGITS carried everywhere.
+2. The sum runs over n = 0, +-1, +-2, ...  After the terms +-n the
+   exponents left are distinct integers >= e = (n+1)(3n+2)/2, so the
+   dropped tail is at most t = |q|^e / (1 - |q|) and the logarithm moves
+   by at most -log(1 - t/|S_n|), with S_n the multi-precision partial
+   sum.  The sum stops once that bound is below 10^-(P+10).  The test
+   runs in log space: |q|^e leaves the double range long before it
+   reaches 10^-(P+10) near a cusp.
+3. One Log of the sum.
+
+That is O(sqrt(P / Im z)) multiplications and one Log, where the product
+formula needs O(P / Im z) Logs; the product survives as a test oracle.
+z must have finite parts and Im z > 0 (NotUpperHalfPlaneError, checked
+before any float conversion).  Points with Im z below Y_MIN are refused
+as too costly: the summands grow like sqrt(P / Im z) and the
+cancellation guard like 1 / Im z digits.
 
 The level-p function uses the additive branch
 
@@ -21,54 +48,146 @@ unity, not always 1.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import mpmath
 
 from .dedekind import rademacher_phi
-from .errors import DomainError, ImaginaryPartError
+from .errors import DomainError, ImaginaryPartError, NotUpperHalfPlaneError
 from .fricke import k_of_p, phi_p
 from .matrices import COSET, FrickeElement, UnimodularMatrix, sgn
 
 DEFAULT_PRECISION = 50
 GUARD_DIGITS = 10
 Y_MIN = 1e-3
+# the complex128 pass stops once |q^n| < 2^-60
+_FLOAT_CUTOFF_LOG = 60 * math.log(2)
+# beyond this Im z, exp(-2 pi Im z) is 0.0 in doubles; capping there only
+# loosens the tail bound, which grows with |q|
+_Y_FLOAT_CAP = 1e6
 
 
-def _required_terms(y: float, digits: int) -> int:
-    # |q|^(N+1) / (1 - |q|)^2 < 10^-digits with |q| = exp(-2 pi y)
-    absq = math.exp(-2 * math.pi * y)
-    if absq == 0.0:
-        return 1
-    need = digits * math.log(10) - 2 * math.log1p(-absq)
-    return max(1, math.ceil(need / (2 * math.pi * y)))
+class _LogEta(NamedTuple):
+    value: object
+    terms: int
+    tail_bound: object
+    working_digits: int
+
+
+def _upper_half_plane_point(z):
+    """z as an mpc; NotUpperHalfPlaneError unless both parts are finite
+    and Im z > 0.  Runs before anything converts z to a float."""
+    z = mpmath.mpc(z)
+    if not (mpmath.isfinite(z.real) and mpmath.isfinite(z.imag)) or z.imag <= 0:
+        raise NotUpperHalfPlaneError(
+            f"z = {mpmath.nstr(z, 8)} is not a finite point with Im(z) > 0"
+        )
+    return z
+
+
+def _pentagonal_terms(y, digits: int):
+    # summands until |q|^e < 10^-digits: e ~ 3 n^2 / 2 = digits log 10 / (2 pi y)
+    return 2 * mpmath.sqrt(digits * mpmath.log(10) / (3 * mpmath.pi * y)) + 1
+
+
+def _float_log_product(x: float, y: float) -> complex:
+    """sum_{n>=1} Log(1 - q^n) in complex128, stopped once |q^n| < 2^-60."""
+    q = cmath.exp(complex(-2 * math.pi * y, 2 * math.pi * x))
+    total = 0j
+    qn = 1
+    for _ in range(math.ceil(_FLOAT_CUTOFF_LOG / (2 * math.pi * y))):
+        qn *= q
+        total += cmath.log(1 - qn)
+    return total
+
+
+def _pentagonal_sum(w, y, log_abs_s_est: float, digits: int):
+    """Partial sum S_N of sum (-1)^n q^(n(3n-1)/2), q = e^(2 pi i w), with
+    |Log S - Log S_N| <= 10^-digits; returns (S_N, summands, bound).
+
+    Tail after the terms +-n: exponents >= e = (n+1)(3n+2)/2, so at most
+    t = |q|^e / (1 - |q|), and Log moves by at most -log(1 - t/|S_N|),
+    which is <= 2 t/|S_N| once t/|S_N| <= 1/2.  The stopping test runs in
+    doubles on logarithms; log_abs_s_est (the float pass) only saves
+    computing |S_N| before the test can pass.  y is Im w, possibly capped
+    (a larger y would only shrink the bound).
+    """
+    log_absq = -2 * math.pi * float(y)
+    log_tail_den = math.log(-math.expm1(log_absq))
+    target = -digits * math.log(10) - math.log(2)
+    s = mpmath.mpc(1)
+    n = 0
+    while True:
+        e = (n + 1) * (3 * n + 2) // 2
+        log_t = e * log_absq - log_tail_den
+        if log_t - log_abs_s_est < target:
+            log_abs_s = float(mpmath.log(abs(s)))
+            if log_t - log_abs_s < target:
+                break
+        if n == 0:
+            q = mpmath.expjpi(2 * w)
+            q3 = q**3
+            step = q  # q^(3n-2) = q^(e(n) - e(n-1))
+            qn = mpmath.mpc(1)
+            a = mpmath.mpc(1)  # q^e(n), e(n) = n(3n-1)/2
+        else:
+            step *= q3
+        n += 1
+        qn *= q
+        a *= step
+        if n % 2:
+            s -= a * (1 + qn)  # q^e(-n) = q^(e(n) + n)
+        else:
+            s += a * (1 + qn)
+    log_absq = -2 * mpmath.pi * y
+    u = mpmath.exp(e * log_absq) / (-mpmath.expm1(log_absq) * abs(s))
+    return s, 2 * n + 1, -mpmath.log1p(-u)
+
+
+def _log_eta_eval(z, prec: int, y_min: float = Y_MIN) -> _LogEta:
+    """log eta(z) to 10^-prec with its truncation data; see the module
+    docstring for the three stages."""
+    if prec < 30:
+        raise DomainError(f"precision {prec} below the 30 digit floor")
+    digits = prec + GUARD_DIGITS
+    with mpmath.workdps(digits):
+        z = _upper_half_plane_point(z)
+        y = z.imag
+        if float(y) < y_min:
+            est = _pentagonal_terms(y, digits)
+            shown = str(int(est)) if est < 1e15 else mpmath.nstr(est, 3)
+            raise ImaginaryPartError(
+                f"Im(z) = {mpmath.nstr(y, 8)} below threshold {y_min}; the "
+                f"pentagonal series would need about {shown} terms"
+            )
+        # q has period 1 in Re z, so a huge Re z costs nothing below
+        x = mpmath.frac(z.real)
+        y_capped = min(y, _Y_FLOAT_CAP)
+        log_s_est = _float_log_product(float(x), float(y_capped))
+        cancel = max(0, math.ceil(-log_s_est.real / math.log(10)))
+    working = digits + cancel
+    with mpmath.workdps(working):
+        s, terms, tail = _pentagonal_sum(mpmath.mpc(x, y), y_capped, log_s_est.real, digits)
+        log_s = mpmath.log(s)
+        turns = (log_s_est.imag - float(log_s.imag)) / (2 * math.pi)
+        k = round(turns)
+        if abs(turns - k) > 0.25:
+            raise ArithmeticError(
+                f"branch of log eta at z = {mpmath.nstr(z, 8)} is ambiguous: "
+                f"{turns:.3f} turns between the float pass and Log S"
+            )
+        value = mpmath.pi * 1j * z / 12 + log_s + 2j * mpmath.pi * k
+    return _LogEta(value, terms, tail, working)
 
 
 def _log_eta_info(z, prec: int, y_min: float = Y_MIN):
-    """(value, terms, tail_bound) at precision prec; context already set
-    by the caller or set here, both at prec + GUARD_DIGITS digits."""
-    if prec < 30:
-        raise DomainError(f"precision {prec} below the 30 digit floor")
-    with mpmath.workdps(prec + GUARD_DIGITS):
-        z = mpmath.mpc(z)
-        y = float(z.imag)
-        if y < y_min:
-            est = _required_terms(max(y, 1e-12), prec + GUARD_DIGITS)
-            raise ImaginaryPartError(
-                f"Im(z) = {y} below threshold {y_min}; the series would need "
-                f"about {est} terms"
-            )
-        n_terms = _required_terms(y, prec + GUARD_DIGITS)
-        q = mpmath.expjpi(2 * z)
-        total = mpmath.pi * 1j * z / 12
-        qn = mpmath.mpc(1)
-        for _ in range(n_terms):
-            qn *= q
-            total += mpmath.log(1 - qn)
-        absq = abs(q)
-        tail = absq ** (n_terms + 1) / (1 - absq) ** 2
-        return total, n_terms, tail
+    """(value, terms, tail_bound): log eta(z), the number of pentagonal
+    summands, and the proved bound on the truncation error of the value."""
+    value, terms, tail, _ = _log_eta_eval(z, prec, y_min)
+    return value, terms, tail
 
 
 def log_eta(z, prec: int = DEFAULT_PRECISION, y_min: float = Y_MIN):
@@ -77,17 +196,21 @@ def log_eta(z, prec: int = DEFAULT_PRECISION, y_min: float = Y_MIN):
     return value
 
 
-def _log_eta_p_info(p: int, z, prec: int, y_min: float = Y_MIN):
+def _log_eta_p_eval(p: int, z, prec: int, y_min: float = Y_MIN) -> _LogEta:
     with mpmath.workdps(prec + GUARD_DIGITS):
-        v1, n1, _ = _log_eta_info(z, prec, y_min)
-        v2, n2, _ = _log_eta_info(p * mpmath.mpc(z), prec, y_min)
-        return (v1 + v2) / 2, max(n1, n2)
+        one = _log_eta_eval(z, prec, y_min)
+        other = _log_eta_eval(p * mpmath.mpc(z), prec, y_min)
+        return _LogEta(
+            (one.value + other.value) / 2,
+            max(one.terms, other.terms),
+            (one.tail_bound + other.tail_bound) / 2,
+            max(one.working_digits, other.working_digits),
+        )
 
 
 def log_eta_p(p: int, z, prec: int = DEFAULT_PRECISION, y_min: float = Y_MIN):
     """Additive-branch log eta_p(z) = (log eta(z) + log eta(p z)) / 2."""
-    value, _ = _log_eta_p_info(p, z, prec, y_min)
-    return value
+    return _log_eta_p_eval(p, z, prec, y_min).value
 
 
 def eta_p_branch_ratio(p: int, z, prec: int = DEFAULT_PRECISION):
@@ -106,13 +229,21 @@ def eta_p_branch_ratio(p: int, z, prec: int = DEFAULT_PRECISION):
 
 @dataclass
 class VerificationReport:
-    """Outcome of one numeric check of a transformation law."""
+    """Outcome of one numeric check of a transformation law.
+
+    truncation_terms, tail_bound and working_digits are the largest over
+    the series evaluations of both sides: pentagonal summands, proved
+    bound on the truncation error of a side, and decimal digits carried
+    (GUARD_DIGITS plus the cancellation guard on top of precision).
+    """
 
     lhs: object
     rhs: object
     residual: object
     truncation_terms: int
     precision: int
+    tail_bound: object
+    working_digits: int
 
     def passed(self, tolerance) -> bool:
         return self.residual < mpmath.mpf(tolerance)
@@ -125,6 +256,8 @@ class VerificationReport:
             "residual": mpmath.nstr(self.residual, 8),
             "truncation_terms": self.truncation_terms,
             "precision": self.precision,
+            "tail_bound": mpmath.nstr(self.tail_bound, 8),
+            "working_digits": self.working_digits,
         }
         if tolerance is not None:
             out["tolerance"] = str(tolerance)
@@ -146,6 +279,28 @@ def _branch_term(cz_d, c_sign: int):
     return mpmath.log(cz_d / (1j * c_sign)) / 2
 
 
+def _moebius(a, b, c, d, z):
+    """(a z + b) / (c z + d) for a real matrix of positive determinant.
+
+    The imaginary part is formed as det Im z / |c z + d|^2, which keeps
+    its digits where the quotient's would cancel near the real axis.
+    """
+    w = c * z + d
+    return mpmath.mpc(((a * z + b) / w).real, (a * d - b * c) * z.imag / abs(w) ** 2)
+
+
+def _report(lhs: _LogEta, rhs, base: _LogEta, prec: int) -> VerificationReport:
+    return VerificationReport(
+        lhs.value,
+        rhs,
+        abs(lhs.value - rhs),
+        max(lhs.terms, base.terms),
+        prec,
+        max(lhs.tail_bound, base.tail_bound),
+        max(lhs.working_digits, base.working_digits),
+    )
+
+
 def verify_eta_transform(
     g: UnimodularMatrix, z, prec: int = DEFAULT_PRECISION, y_min: float = Y_MIN
 ) -> VerificationReport:
@@ -154,15 +309,13 @@ def verify_eta_transform(
     """
     a, b, c, d = g.entries()
     with mpmath.workdps(prec + GUARD_DIGITS):
-        z = mpmath.mpc(z)
-        gz = (a * z + b) / (c * z + d)
-        lhs, n1, _ = _log_eta_info(gz, prec, y_min)
-        base, n2, _ = _log_eta_info(z, prec, y_min)
-        rhs = base + mpmath.pi * 1j * rademacher_phi(g) / 12
+        z = _upper_half_plane_point(z)
+        lhs = _log_eta_eval(_moebius(a, b, c, d, z), prec, y_min)
+        base = _log_eta_eval(z, prec, y_min)
+        rhs = base.value + mpmath.pi * 1j * rademacher_phi(g) / 12
         if c != 0:
             rhs += _branch_term(c * z + d, sgn(c))
-        residual = abs(lhs - rhs)
-    return VerificationReport(lhs, rhs, residual, max(n1, n2), prec)
+        return _report(lhs, rhs, base, prec)
 
 
 def verify_theorem1(
@@ -174,23 +327,22 @@ def verify_theorem1(
     p = e.p
     value = phi_p(e)
     with mpmath.workdps(prec + GUARD_DIGITS):
-        z = mpmath.mpc(z)
+        z = _upper_half_plane_point(z)
         if e.kind == COSET:
             al, be, ga, de = e.q
             # Moebius action has integer coefficients after scaling by sqrt p
-            ez = (p * al * z + be) / (p * ga * z + p * de)
+            ez = _moebius(p * al, be, p * ga, p * de, z)
             cz_d = mpmath.sqrt(p) * (ga * z + de)
             c_sign = sgn(ga)
         else:
             a, b, c, d = e.q
-            ez = (a * z + b) / (c * z + d)
+            ez = _moebius(a, b, c, d, z)
             cz_d = c * z + d
             c_sign = sgn(c)
-        lhs, n1 = _log_eta_p_info(p, ez, prec, y_min)
-        base, n2 = _log_eta_p_info(p, z, prec, y_min)
+        lhs = _log_eta_p_eval(p, ez, prec, y_min)
+        base = _log_eta_p_eval(p, z, prec, y_min)
         phase = mpmath.pi * 1j * mpmath.mpf(value.numerator) / (12 * value.denominator)
-        rhs = base + phase
+        rhs = base.value + phase
         if c_sign != 0:
             rhs += _branch_term(cz_d, c_sign)
-        residual = abs(lhs - rhs)
-    return VerificationReport(lhs, rhs, residual, max(n1, n2), prec)
+        return _report(lhs, rhs, base, prec)

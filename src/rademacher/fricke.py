@@ -70,16 +70,14 @@ def phi_p(e: FrickeElement) -> Fraction:
     """Phi_p as an exact rational; twice the value is always an integer.
 
     Whether the value itself is always an integer is left open on purpose:
-    the code asserts only 2 * Phi_p in Z and the tests record the observed
-    parity without relying on it.
+    the tests record the observed parity without relying on it.
     """
     if e.kind == COSET:
         reduced, corr = _coset_reduction(e)
         return phi_p(reduced) + corr
     m = e.matrix
-    value = Fraction(rademacher_phi(m) + rademacher_phi(conjugate_by_p(e)), 2)
-    assert value.denominator in (1, 2)
-    return value
+    # an integer over 2 reduces to denominator 1 or 2, so 2 * Phi_p is in Z
+    return Fraction(rademacher_phi(m) + rademacher_phi(conjugate_by_p(e)), 2)
 
 
 def phi_p_geometric(e: FrickeElement) -> Fraction:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import rademacher
+from rademacher import cli
 from rademacher.cli import run
 from rademacher.dedekind import rademacher_phi
 from rademacher.fricke import phi_p
@@ -99,6 +104,7 @@ def test_verify_eta_pass_and_fail_exit(capsys):
     )
     assert code == 0 and payload["pass"] is True
     assert payload["precision"] == 60 and payload["truncation_terms"] > 0
+    assert float(payload["tail_bound"]) < 1e-70 and payload["working_digits"] >= 70
 
     code, payload = run_json(
         capsys,
@@ -136,6 +142,44 @@ def test_domain_error_exit_1(capsys):
                  "--precision", "50"],
     )
     assert code == 1 and payload["error"]["code"] == "imaginary_part_too_small"
+
+
+@pytest.mark.parametrize("z, code", [
+    ("nan,1", "not_upper_half_plane"),
+    ("inf,1", "not_upper_half_plane"),
+    ("0,inf", "not_upper_half_plane"),
+    ("0,-1", "not_upper_half_plane"),
+    # finite in mpmath; its image under (3,1;8,3) has Im ~ 1.6e-402
+    ("0.1,1e400", "imaginary_part_too_small"),
+])
+def test_bad_z_one_json_error_exit_1(capsys, z, code):
+    for argv in (["verify-eta", "--matrix", "3,1,8,3"],
+                 ["verify-theorem1", "--p", "5", "--matrix", "1,0,5,1"]):
+        status = run(argv + ["--z", z])
+        lines = capsys.readouterr().out.splitlines()
+        assert status == 1 and len(lines) == 1
+        assert json.loads(lines[0])["error"]["code"] == code
+
+
+def test_internal_error_not_reported_as_domain(capsys, monkeypatch):
+    def broken(args):
+        raise ValueError("bug")
+
+    monkeypatch.setitem(cli._HANDLERS, "phi", broken)
+    code, payload = run_json(capsys, ["phi", "--matrix", "1,1,0,1"])
+    assert code == 1
+    assert payload["error"] == {"code": "internal", "message": "ValueError: bug"}
+
+
+def test_python_dash_m_entry_point():
+    env = dict(os.environ)
+    src = str(Path(rademacher.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "rademacher", "phi", "--matrix=1,1,0,1"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0 and json.loads(done.stdout) == {"phi": 1}
 
 
 def test_parse_error_exit_2(capsys):

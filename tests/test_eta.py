@@ -1,10 +1,16 @@
+import math
+import re
+
 import mpmath
 import pytest
 
-from rademacher.errors import DomainError, ImaginaryPartError
+from oracles import log_eta_product
+from rademacher import eta
+from rademacher.errors import DomainError, ImaginaryPartError, NotUpperHalfPlaneError
 from rademacher.eta import (
     GUARD_DIGITS,
     VerificationReport,
+    _log_eta_eval,
     _log_eta_info,
     eta_p_branch_ratio,
     log_eta,
@@ -55,7 +61,52 @@ def test_inversion_at_2i():
 def test_im_too_small_raises():
     with pytest.raises(ImaginaryPartError) as info:
         log_eta(mpmath.mpc(0.3, 1e-5), prec=50)
-    assert "terms" in str(info.value)
+    # 2 sqrt(60 log 10 / (3 pi 1e-5)) + 1 ~ 2422 summands
+    count = re.search(r"pentagonal series would need about (\d+) terms", str(info.value))
+    assert count and 2400 <= int(count.group(1)) <= 2450
+
+
+@pytest.mark.parametrize("re, im", [
+    ("nan", "1"), ("inf", "1"), ("-inf", "1"), ("0", "inf"), ("0", "nan"),
+    ("0", "-1"), ("0.3", "0"),
+])
+def test_points_off_the_upper_half_plane_raise(re, im):
+    with mp(50):
+        z = mpmath.mpc(mpmath.mpf(re), mpmath.mpf(im))
+    for call in (
+        lambda: log_eta(z),
+        lambda: log_eta_p(5, z),
+        lambda: verify_eta_transform(S, z),
+        lambda: verify_theorem1(fricke_involution(5), z),
+    ):
+        with pytest.raises(NotUpperHalfPlaneError) as info:
+            call()
+        assert info.value.code == "not_upper_half_plane"
+
+
+def test_huge_imaginary_part():
+    # |q| = exp(-2 pi 1e400) leaves S = 1: log eta is pi i z / 12 exactly
+    with mp(50):
+        z = mpmath.mpc("0.1", "1e400")
+        value, terms, tail = _log_eta_info(z, 50)
+        assert terms == 1 and tail < mpmath.mpf(10) ** -1000
+        assert value == mpmath.pi * 1j * z / 12
+
+
+def test_mapped_point_near_axis_is_too_small_not_off_plane():
+    # Im(g z) = Im z / |c z + d|^2 is formed directly, so it stays positive
+    with mp(50):
+        z = mpmath.mpc("0.3", "1e-400")
+    with pytest.raises(ImaginaryPartError):
+        verify_eta_transform(UnimodularMatrix(3, 1, 8, 3), z)
+
+
+def test_ambiguous_branch_raises(monkeypatch):
+    # a float pass half a turn off cannot pick the branch integer
+    real = eta._float_log_product
+    monkeypatch.setattr(eta, "_float_log_product", lambda x, y: real(x, y) + 1j * math.pi)
+    with pytest.raises(ArithmeticError):
+        log_eta(mpmath.mpc("0.2", "0.7"))
 
 
 def test_precision_floor():
@@ -70,8 +121,53 @@ def test_truncation_soundness():
         z = mpmath.mpc("0.41", "0.09")
         coarse, n1, tail = _log_eta_info(z, prec)
         fine, n2, _ = _log_eta_info(z, 2 * prec + 10)
-        assert n2 > 2 * n1 * 0.9
+        # pentagonal summands grow like sqrt(digits): 50 -> 100 digits is sqrt 2
+        assert abs(n2 / n1 - math.sqrt(2)) < 0.15
         assert abs(coarse - fine) <= tail + mpmath.mpf(10) ** -(2 * prec)
+
+
+@pytest.mark.parametrize("prec", [100, 200])
+@pytest.mark.parametrize("y", ["0.001", "0.0015"])
+def test_near_cusp_matches_product_oracle(y, prec):
+    # |eta(0.001 i)| ~ 6e-113: the pentagonal sum cancels about 113 digits
+    # and the cancellation guard must restore them
+    with mp(prec):
+        z = mpmath.mpc(0, y)
+    result = _log_eta_eval(z, prec)
+    assert result.working_digits > prec + GUARD_DIGITS + 60
+    ref = log_eta_product(z, prec)
+    with mp(2 * prec):
+        assert abs(result.value - ref) < mpmath.mpf(10) ** -prec
+
+
+def _panel_points(prec):
+    # every point at which criterion 8's panel evaluates log eta
+    from test_acceptance import PANEL_CLASSICAL, PANEL_THEOREM1, _panel_z
+
+    with mp(prec):
+        for entries, theta in PANEL_CLASSICAL:
+            g = UnimodularMatrix(*entries)
+            z = _panel_z(g.c, g.d, theta, prec)
+            yield from (z, eta._moebius(*entries, z))
+        for p, kind, q, theta in PANEL_THEOREM1:
+            if kind == "g":
+                z = _panel_z(q[2], q[3], theta, prec)
+                ez = eta._moebius(*q, z)
+            else:
+                z = _panel_z(q[2], q[3], theta, prec, scale=p)
+                ez = eta._moebius(p * q[0], q[1], p * q[2], p * q[3], z)
+            yield from (z, p * z, ez, p * ez)
+
+
+def test_product_oracle_on_criterion_8_panel():
+    prec = 100
+    points = list(_panel_points(prec))
+    assert len(points) == 2 * 10 + 4 * 10
+    for z in points:
+        value = log_eta(z, prec=prec)
+        ref = log_eta_product(z, prec)
+        with mp(2 * prec):
+            assert abs(value - ref) < mpmath.mpf(10) ** -prec, z
 
 
 def test_log_eta_p_definition_and_shift():
@@ -169,8 +265,11 @@ def test_precision_scaling_no_plateau():
 def test_report_dict_shape():
     report = verify_eta_transform(T, mpmath.mpc(0, 1), prec=50)
     d = report.to_dict(tolerance="1e-40")
-    assert set(d) == {"lhs", "rhs", "residual", "truncation_terms", "precision", "tolerance", "pass"}
+    assert set(d) == {"lhs", "rhs", "residual", "truncation_terms", "precision",
+                      "tail_bound", "working_digits", "tolerance", "pass"}
     assert d["pass"] is True and d["precision"] == 50
+    assert mpmath.mpf(d["tail_bound"]) < mpmath.mpf(10) ** -60
+    assert d["working_digits"] >= 50 + GUARD_DIGITS
     assert "," in d["lhs"] and "," in d["rhs"]
     bare = report.to_dict()
     assert "pass" not in bare and "tolerance" not in bare
