@@ -64,8 +64,10 @@ def _default_precision() -> int:
     try:
         value = int(raw)
     except ValueError:
-        return eta.DEFAULT_PRECISION
-    return value if value > 0 else eta.DEFAULT_PRECISION
+        value = 0
+    if value <= 0:
+        raise ParseError(f"RADEMACHER_PRECISION must be a positive integer, got {raw!r}")
+    return value
 
 
 def _fricke_arg(args) -> FrickeElement:

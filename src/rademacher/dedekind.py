@@ -10,25 +10,17 @@ and the Rademacher symbol of (a, b; c, d) in SL2(Z) is
     Phi = b/d                                   if c = 0,
     Phi = (a + d)/c - 12 sgn(c) s(d, |c|)       otherwise,
 
-which is always an integer (asserted, never rounded).
+which is always an integer (asserted, never rounded).  Both are evaluated
+by the reciprocity descent; the literal sum is a test oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import floor, gcd
+from math import gcd
 
 from .errors import NotCoprimeError
 from .matrices import UnimodularMatrix, sgn
-
-LITERAL_THRESHOLD = 64
-
-
-def sawtooth(x: Fraction) -> Fraction:
-    x = Fraction(x)
-    if x.denominator == 1:
-        return Fraction(0)
-    return x - floor(x) - Fraction(1, 2)
 
 
 def _check_pair(h: int, k: int) -> None:
@@ -36,21 +28,6 @@ def _check_pair(h: int, k: int) -> None:
         raise NotCoprimeError(f"k must be positive, got {k}")
     if gcd(h, k) != 1:
         raise NotCoprimeError(f"gcd({h}, {k}) != 1")
-
-
-def dedekind_sum_literal(h: int, k: int) -> Fraction:
-    """The defining sum, evaluated term by term.
-
-    Each nonzero term is (2(h mu mod k) - k)(2 mu - k)/(4 k^2); the mu = k
-    term vanishes, and h mu mod k = 0 only at mu = k since gcd(h, k) = 1.
-    """
-    _check_pair(h, k)
-    total = 0
-    for mu in range(1, k):
-        r = (h * mu) % k
-        if r:
-            total += (2 * r - k) * (2 * mu - k)
-    return Fraction(total, 4 * k * k)
 
 
 def _descent(h: int, k: int) -> tuple[int, int]:
@@ -71,18 +48,10 @@ def _descent(h: int, k: int) -> tuple[int, int]:
     return num, den
 
 
-def dedekind_sum_fast(h: int, k: int) -> Fraction:
-    """Euclidean-descent evaluator, O(log k) rational steps."""
+def dedekind_sum(h: int, k: int) -> Fraction:
+    """s(h, k) by the Euclidean descent, O(log k) integer steps."""
     _check_pair(h, k)
     return Fraction(*_descent(h, k))
-
-
-def dedekind_sum(h: int, k: int, literal_threshold: int = LITERAL_THRESHOLD) -> Fraction:
-    """s(h, k).  Small k goes through the literal sum, large k through the
-    descent; the two agree everywhere (tested), the split is only speed."""
-    if k < literal_threshold:
-        return dedekind_sum_literal(h, k)
-    return dedekind_sum_fast(h, k)
 
 
 def rademacher_phi(g: UnimodularMatrix) -> int:

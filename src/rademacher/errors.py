@@ -59,6 +59,12 @@ class ImaginaryPartError(DomainError):
     code = "imaginary_part_too_small"
 
 
+class PointTooLargeError(DomainError):
+    """|z| or its image too large for the digits it would have to carry."""
+
+    code = "point_too_large"
+
+
 class NotUpperHalfPlaneError(DomainError):
     """z has a non-finite part or Im(z) <= 0."""
 

@@ -36,6 +36,12 @@ before any float conversion).  Points with Im z below Y_MIN are refused
 as too costly: the summands grow like sqrt(P / Im z) and the
 cancellation guard like 1 / Im z digits.
 
+Both sides of a transformation law are about as large as |z| and |g z|,
+so the verify functions carry ceil(log10 max(|z|, |g z|)) more digits
+when that is positive (the magnitude guard), and the residual stays an
+absolute 10^-P certificate.  Beyond 10^MAGNITUDE_MAX_DIGITS they refuse
+the point (PointTooLargeError) as too costly.
+
 The level-p function uses the additive branch
 
     log eta_p(z) = ( log eta(z) + log eta(p z) ) / 2,
@@ -56,13 +62,16 @@ from typing import NamedTuple
 import mpmath
 
 from .dedekind import rademacher_phi
-from .errors import DomainError, ImaginaryPartError, NotUpperHalfPlaneError
+from .errors import DomainError, ImaginaryPartError, NotUpperHalfPlaneError, PointTooLargeError
 from .fricke import k_of_p, phi_p
 from .matrices import COSET, FrickeElement, UnimodularMatrix, sgn
 
 DEFAULT_PRECISION = 50
 GUARD_DIGITS = 10
 Y_MIN = 1e-3
+# the verify functions refuse |z| or |g z| beyond 10^MAGNITUDE_MAX_DIGITS:
+# each digit is carried on top of P, and 4000 of them already cost ~0.5 s
+MAGNITUDE_MAX_DIGITS = 4000
 # the complex128 pass stops once |q^n| < 2^-60
 _FLOAT_CUTOFF_LOG = 60 * math.log(2)
 # beyond this Im z, exp(-2 pi Im z) is 0.0 in doubles; capping there only
@@ -77,13 +86,20 @@ class _LogEta(NamedTuple):
     working_digits: int
 
 
+def _nstr(x, n: int) -> str:
+    # round first: mpmath cannot print a mantissa of more than 4300 digits,
+    # which a point far from the origin is carried with
+    with mpmath.workdps(n + 5):
+        return mpmath.nstr(+x, n)
+
+
 def _upper_half_plane_point(z):
     """z as an mpc; NotUpperHalfPlaneError unless both parts are finite
     and Im z > 0.  Runs before anything converts z to a float."""
     z = mpmath.mpc(z)
     if not (mpmath.isfinite(z.real) and mpmath.isfinite(z.imag)) or z.imag <= 0:
         raise NotUpperHalfPlaneError(
-            f"z = {mpmath.nstr(z, 8)} is not a finite point with Im(z) > 0"
+            f"z = {_nstr(z, 8)} is not a finite point with Im(z) > 0"
         )
     return z
 
@@ -147,20 +163,21 @@ def _pentagonal_sum(w, y, log_abs_s_est: float, digits: int):
     return s, 2 * n + 1, -mpmath.log1p(-u)
 
 
-def _log_eta_eval(z, prec: int, y_min: float = Y_MIN) -> _LogEta:
+def _log_eta_eval(z, prec: int, y_min: float = Y_MIN, magnitude: int = 0) -> _LogEta:
     """log eta(z) to 10^-prec with its truncation data; see the module
-    docstring for the three stages."""
+    docstring for the three stages.  magnitude digits are carried on top
+    of the guard digits throughout (see _guarded_points)."""
     if prec < 30:
         raise DomainError(f"precision {prec} below the 30 digit floor")
     digits = prec + GUARD_DIGITS
-    with mpmath.workdps(digits):
+    with mpmath.workdps(digits + magnitude):
         z = _upper_half_plane_point(z)
         y = z.imag
         if float(y) < y_min:
             est = _pentagonal_terms(y, digits)
-            shown = str(int(est)) if est < 1e15 else mpmath.nstr(est, 3)
+            shown = str(int(est)) if est < 1e15 else _nstr(est, 3)
             raise ImaginaryPartError(
-                f"Im(z) = {mpmath.nstr(y, 8)} below threshold {y_min}; the "
+                f"Im(z) = {_nstr(y, 8)} below threshold {y_min}; the "
                 f"pentagonal series would need about {shown} terms"
             )
         # q has period 1 in Re z, so a huge Re z costs nothing below
@@ -168,7 +185,7 @@ def _log_eta_eval(z, prec: int, y_min: float = Y_MIN) -> _LogEta:
         y_capped = min(y, _Y_FLOAT_CAP)
         log_s_est = _float_log_product(float(x), float(y_capped))
         cancel = max(0, math.ceil(-log_s_est.real / math.log(10)))
-    working = digits + cancel
+    working = digits + magnitude + cancel
     with mpmath.workdps(working):
         s, terms, tail = _pentagonal_sum(mpmath.mpc(x, y), y_capped, log_s_est.real, digits)
         log_s = mpmath.log(s)
@@ -176,7 +193,7 @@ def _log_eta_eval(z, prec: int, y_min: float = Y_MIN) -> _LogEta:
         k = round(turns)
         if abs(turns - k) > 0.25:
             raise ArithmeticError(
-                f"branch of log eta at z = {mpmath.nstr(z, 8)} is ambiguous: "
+                f"branch of log eta at z = {_nstr(z, 8)} is ambiguous: "
                 f"{turns:.3f} turns between the float pass and Log S"
             )
         value = mpmath.pi * 1j * z / 12 + log_s + 2j * mpmath.pi * k
@@ -196,10 +213,10 @@ def log_eta(z, prec: int = DEFAULT_PRECISION, y_min: float = Y_MIN):
     return value
 
 
-def _log_eta_p_eval(p: int, z, prec: int, y_min: float = Y_MIN) -> _LogEta:
-    with mpmath.workdps(prec + GUARD_DIGITS):
-        one = _log_eta_eval(z, prec, y_min)
-        other = _log_eta_eval(p * mpmath.mpc(z), prec, y_min)
+def _log_eta_p_eval(p: int, z, prec: int, y_min: float = Y_MIN, magnitude: int = 0) -> _LogEta:
+    with mpmath.workdps(prec + GUARD_DIGITS + magnitude):
+        one = _log_eta_eval(z, prec, y_min, magnitude)
+        other = _log_eta_eval(p * mpmath.mpc(z), prec, y_min, magnitude)
         return _LogEta(
             (one.value + other.value) / 2,
             max(one.terms, other.terms),
@@ -234,7 +251,8 @@ class VerificationReport:
     truncation_terms, tail_bound and working_digits are the largest over
     the series evaluations of both sides: pentagonal summands, proved
     bound on the truncation error of a side, and decimal digits carried
-    (GUARD_DIGITS plus the cancellation guard on top of precision).
+    (GUARD_DIGITS plus the cancellation and magnitude guards on top of
+    precision).
     """
 
     lhs: object
@@ -253,10 +271,10 @@ class VerificationReport:
         out = {
             "lhs": _format_complex(self.lhs, digits),
             "rhs": _format_complex(self.rhs, digits),
-            "residual": mpmath.nstr(self.residual, 8),
+            "residual": _nstr(self.residual, 8),
             "truncation_terms": self.truncation_terms,
             "precision": self.precision,
-            "tail_bound": mpmath.nstr(self.tail_bound, 8),
+            "tail_bound": _nstr(self.tail_bound, 8),
             "working_digits": self.working_digits,
         }
         if tolerance is not None:
@@ -289,6 +307,37 @@ def _moebius(a, b, c, d, z):
     return mpmath.mpc(((a * z + b) / w).real, (a * d - b * c) * z.imag / abs(w) ** 2)
 
 
+def _guarded_points(z, a, b, c, d, prec: int):
+    """(z, g z, guard) for g = (a, b; c, d), both points carried at
+    prec + GUARD_DIGITS + guard digits.
+
+    Both sides of a transformation law are as large as pi |z| / 12 or
+    pi |g z| / 12, so the residual is an absolute 10^-P certificate only
+    if guard = max(0, ceil(log10 max(|z|, |g z|))) more digits are
+    carried (the magnitude guard).
+    """
+    digits = prec + GUARD_DIGITS
+    with mpmath.workdps(digits):
+        w = _upper_half_plane_point(z)
+        gw = _moebius(a, b, c, d, w)
+    # doubles hold the sizes well enough for a digit count, up to 1e308
+    top = max(abs(complex(w)), abs(complex(gw)))
+    if top <= 1:
+        return w, gw, 0
+    if top < math.inf:
+        guard = math.ceil(math.log10(top))
+    else:
+        guard = math.ceil(float(mpmath.log10(max(abs(w), abs(gw)))))
+    if guard > MAGNITUDE_MAX_DIGITS:
+        raise PointTooLargeError(
+            f"|z| or |g z| is about 10^{guard}, beyond 10^{MAGNITUDE_MAX_DIGITS}; "
+            f"the check would carry that many extra digits"
+        )
+    with mpmath.workdps(digits + guard):
+        w = mpmath.mpc(z)
+        return w, _moebius(a, b, c, d, w), guard
+
+
 def _report(lhs: _LogEta, rhs, base: _LogEta, prec: int) -> VerificationReport:
     return VerificationReport(
         lhs.value,
@@ -308,10 +357,10 @@ def verify_eta_transform(
     log eta(z) + (1/2) sgn(c)^2 Log((c z + d)/(i sgn c)) + (pi i / 12) Phi(g).
     """
     a, b, c, d = g.entries()
-    with mpmath.workdps(prec + GUARD_DIGITS):
-        z = _upper_half_plane_point(z)
-        lhs = _log_eta_eval(_moebius(a, b, c, d, z), prec, y_min)
-        base = _log_eta_eval(z, prec, y_min)
+    z, gz, guard = _guarded_points(z, a, b, c, d, prec)
+    with mpmath.workdps(prec + GUARD_DIGITS + guard):
+        lhs = _log_eta_eval(gz, prec, y_min, guard)
+        base = _log_eta_eval(z, prec, y_min, guard)
         rhs = base.value + mpmath.pi * 1j * rademacher_phi(g) / 12
         if c != 0:
             rhs += _branch_term(c * z + d, sgn(c))
@@ -326,23 +375,19 @@ def verify_theorem1(
     with (a, b, c, d) the real entries of e (sqrt p enters only here)."""
     p = e.p
     value = phi_p(e)
-    with mpmath.workdps(prec + GUARD_DIGITS):
-        z = _upper_half_plane_point(z)
+    a, b, c, d = e.q
+    if e.kind == COSET:
+        # sqrt(p) e = (p alpha, beta; p gamma, p delta) has the same Moebius action
+        a, c, d = p * a, p * c, p * d
+    z, ez, guard = _guarded_points(z, a, b, c, d, prec)
+    with mpmath.workdps(prec + GUARD_DIGITS + guard):
+        cz_d = c * z + d
         if e.kind == COSET:
-            al, be, ga, de = e.q
-            # Moebius action has integer coefficients after scaling by sqrt p
-            ez = _moebius(p * al, be, p * ga, p * de, z)
-            cz_d = mpmath.sqrt(p) * (ga * z + de)
-            c_sign = sgn(ga)
-        else:
-            a, b, c, d = e.q
-            ez = _moebius(a, b, c, d, z)
-            cz_d = c * z + d
-            c_sign = sgn(c)
-        lhs = _log_eta_p_eval(p, ez, prec, y_min)
-        base = _log_eta_p_eval(p, z, prec, y_min)
+            cz_d /= mpmath.sqrt(p)
+        lhs = _log_eta_p_eval(p, ez, prec, y_min, guard)
+        base = _log_eta_p_eval(p, z, prec, y_min, guard)
         phase = mpmath.pi * 1j * mpmath.mpf(value.numerator) / (12 * value.denominator)
         rhs = base.value + phase
-        if c_sign != 0:
-            rhs += _branch_term(cz_d, c_sign)
+        if c != 0:
+            rhs += _branch_term(cz_d, sgn(c))
         return _report(lhs, rhs, base, prec)

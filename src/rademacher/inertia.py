@@ -6,52 +6,18 @@ a_1, ..., a_k and unit off-diagonals.  km_phi evaluates
     trace(M) - 3 signature(M),
 
 which equals the Rademacher symbol of the reconstructed product (tested
-exhaustively).  Two independent exact signature algorithms are kept: a
-symmetric elimination with 2x2 pivot blocks, and a leading-principal-minor
-recurrence.  No floating point anywhere.
+exhaustively).  The signature comes from the signs of the leading
+principal minors (Sylvester's law of inertia, as in Kirby-Melvin,
+"Dedekind sums, mu-invariants and the signature cocycle", Math. Ann. 299
+(1994)), in integer arithmetic only.  A symmetric elimination with
+rational pivots is kept as an independent oracle under tests/.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 
 def tridiag_trace(word) -> int:
     return sum(word)
-
-
-def inertia_elimination(word) -> tuple[int, int, int]:
-    """(n_pos, n_neg, n_zero) by symmetric Gaussian elimination.
-
-    1x1 pivots contribute their sign and update the next diagonal entry by
-    -1/pivot.  A zero pivot with a successor is handled as a 2x2 block
-    [[0,1],[1,x]], always one positive and one negative eigenvalue; its
-    Schur complement on the rest vanishes for unit off-diagonals, so the
-    elimination just skips past the block.  A trailing zero pivot is a zero
-    eigenvalue.
-    """
-    diag = [Fraction(a) for a in word]
-    n_pos = n_neg = n_zero = 0
-    i = 0
-    k = len(diag)
-    while i < k:
-        piv = diag[i]
-        if piv == 0:
-            if i + 1 == k:
-                n_zero += 1
-            else:
-                n_pos += 1
-                n_neg += 1
-            i += 2
-            continue
-        if piv > 0:
-            n_pos += 1
-        else:
-            n_neg += 1
-        if i + 1 < k:
-            diag[i + 1] -= 1 / piv
-        i += 1
-    return n_pos, n_neg, n_zero
 
 
 def inertia_minors(word) -> tuple[int, int, int]:
@@ -65,27 +31,18 @@ def inertia_minors(word) -> tuple[int, int, int]:
     k = len(word)
     changes = 0
     d_im1, d_im2 = 1, 0  # d_0 = 1, d_{-1} = 0
-    last = 1
+    positive = True  # sign of the last nonzero minor
     for a in word:
-        d_i = a * d_im1 - d_im2
-        d_im2, d_im1 = d_im1, d_i
-        if d_i:
-            if (d_i > 0) != (last > 0):
-                changes += 1
-            last = d_i
-    if d_im1 == 0:
-        n_zero = 1
-        n_neg = changes
-        n_pos = k - 1 - n_neg
-    else:
-        n_zero = 0
-        n_neg = changes
-        n_pos = k - n_neg
-    return n_pos, n_neg, n_zero
+        d_im2, d_im1 = d_im1, a * d_im1 - d_im2
+        if d_im1 and (d_im1 > 0) != positive:
+            changes += 1
+            positive = not positive
+    n_zero = 1 if d_im1 == 0 else 0
+    return k - n_zero - changes, changes, n_zero
 
 
 def tridiag_signature(word) -> int:
-    n_pos, n_neg, _ = inertia_elimination(word)
+    n_pos, n_neg, _ = inertia_minors(word)
     return n_pos - n_neg
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import NotAnEdgeError, ParseError, WrongBaseEdgeError
-from .matrices import S, UnimodularMatrix, psl_eq, sgn
+from .matrices import S, UnimodularMatrix
 
 EdgeWord = tuple[int, ...]
 
@@ -79,19 +79,6 @@ def reconstruct(word) -> UnimodularMatrix:
     return m
 
 
-def _merge_zeros(word: list[int]) -> list[int]:
-    # T^a S T^0 S T^b S = T^{a+b} S up to sign; repeat until no interior zero
-    changed = True
-    while changed:
-        changed = False
-        for i in range(1, len(word) - 1):
-            if word[i] == 0:
-                word[i - 1 : i + 2] = [word[i - 1] + word[i + 1]]
-                changed = True
-                break
-    return word
-
-
 def decompose(g: UnimodularMatrix) -> EdgeWord:
     """A word w with reconstruct(w) = +-g.
 
@@ -99,9 +86,15 @@ def decompose(g: UnimodularMatrix) -> EdgeWord:
     column (floor quotients); a residual T^m is closed with
     T^m = (T^m S)(T^0 S).  Words are not unique; only PSL equality of the
     reconstruction is promised, plus freedom from interior zeros.
+
+    No interior zero can occur.  A step (a, c) -> (c, n c - a) with
+    n = floor(a / c) leaves c' = -(a mod c): opposite in sign to c and
+    smaller in size.  So every quotient after the first is
+    floor(c / c') <= -2, and the only zero letter besides a leading
+    quotient is the last one of the closing [m, 0].
     """
-    c_mat = S.inverse() * g
-    a, b, c, d = c_mat.entries()
+    a, b, c, d = g.entries()
+    a, b, c, d = c, d, -a, -b  # S^{-1} g
     word: list[int] = []
     while c != 0:
         n = a // c
@@ -111,7 +104,7 @@ def decompose(g: UnimodularMatrix) -> EdgeWord:
     m = a * b
     if m != 0:
         word += [m, 0]
-    return tuple(_merge_zeros(word))
+    return tuple(word)
 
 
 def endpoints_signed(word) -> list[tuple[int, int]]:
@@ -148,6 +141,9 @@ def endpoints(word) -> list[Farey]:
 def turns_from_endpoints(pts) -> EdgeWord:
     """Recover the word from a based vertex sequence.
 
+    Vertices are Farey instances or raw integer pairs (n, d), taken as
+    given: the path must start (+-1, 0), (0, +-1), and consecutive
+    vertices must have determinant +-1 (an unreduced pair never does).
     For each interior vertex the turn is
 
         a_j = (n_{j-1} d_{j+1} - n_{j+1} d_{j-1}) * sgn(D_{j-1}) * sgn(D_j),
@@ -159,24 +155,20 @@ def turns_from_endpoints(pts) -> EdgeWord:
     interior visits to 1/0, where a fixed representative could not encode
     the turn direction on its own).
     """
-    pts = [p if isinstance(p, Farey) else Farey(*p) for p in pts]
-    if len(pts) < 2:
+    pairs = [(p.n, p.d) if isinstance(p, Farey) else p for p in pts]
+    if len(pairs) < 2:
         raise WrongBaseEdgeError("need at least the two base vertices")
-    if not (pts[0].is_infinity and pts[1] == ZERO):
-        raise WrongBaseEdgeError(f"path must start 1/0, 0/1; got {pts[0]}, {pts[1]}")
-    dets = []
-    for u, v in zip(pts, pts[1:]):
-        det = u.n * v.d - v.n * u.d
-        if det not in (1, -1):
-            raise NotAnEdgeError(f"{u} -> {v} is not an edge (determinant {det})")
-        dets.append(det)
+    (n0, d0), (n1, d1) = pairs[0], pairs[1]
+    if d0 != 0 or n0 not in (1, -1) or n1 != 0 or d1 not in (1, -1):
+        raise WrongBaseEdgeError(f"path must start 1/0, 0/1; got {n0}/{d0}, {n1}/{d1}")
+    det_prev = n0 * d1  # D_0, +-1
     word = []
-    for j in range(1, len(pts) - 1):
-        outer = pts[j - 1].n * pts[j + 1].d - pts[j + 1].n * pts[j - 1].d
-        word.append(outer * sgn(dets[j - 1]) * sgn(dets[j]))
+    for n2, d2 in pairs[2:]:
+        det = n1 * d2 - n2 * d1
+        if det != 1 and det != -1:
+            raise NotAnEdgeError(f"{n1}/{d1} -> {n2}/{d2} is not an edge (determinant {det})")
+        # sgn(D) = D for D = +-1
+        word.append((n0 * d2 - n2 * d0) * det_prev * det)
+        det_prev = det
+        n0, d0, n1, d1 = n1, d1, n2, d2
     return tuple(word)
-
-
-def word_matrix_roundtrip(g: UnimodularMatrix) -> bool:
-    """Convenience check: decompose then reconstruct lands on +-g."""
-    return psl_eq(reconstruct(decompose(g)), g)

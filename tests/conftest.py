@@ -9,8 +9,8 @@ import random
 
 import pytest
 
-from rademacher.matrices import UnimodularMatrix
-from rademacher.words import reconstruct
+from rademacher.matrices import S, UnimodularMatrix, psl_eq
+from rademacher.words import decompose, reconstruct
 
 
 def random_word(rng: random.Random, max_len: int = 6, cap: int = 4,
@@ -33,6 +33,33 @@ def random_matrix(rng: random.Random, max_len: int = 6, cap: int = 4) -> Unimodu
     """Random element of SL2(Z), sign included (words only reach PSL2)."""
     m = reconstruct(random_word(rng, max_len=max_len, cap=cap))
     return -m if rng.random() < 0.5 else m
+
+
+def word_matrix_roundtrip(g: UnimodularMatrix) -> bool:
+    """decompose then reconstruct lands on +-g."""
+    return psl_eq(reconstruct(decompose(g)), g)
+
+
+def round_trip_matrices():
+    """Acceptance criterion 9's matrix set, 147,257 matrices.
+
+    Every product reachable by words of length <= 6 over [-3, 3], interior
+    zeros included, then 10,000 seeded random words of length <= 12 over
+    [-5, 5], each negated with probability 1/2.
+    """
+
+    def walk(m, depth):
+        yield m
+        if depth:
+            for a in range(-3, 4):
+                yield from walk(m * UnimodularMatrix(a, -1, 1, 0), depth - 1)
+
+    yield from walk(S, 6)
+    rng = random.Random(9009)
+    for _ in range(10_000):
+        w = tuple(rng.randint(-5, 5) for _ in range(rng.randint(0, 12)))
+        m = reconstruct(w)
+        yield -m if rng.random() < 0.5 else m
 
 
 @pytest.fixture

@@ -1,5 +1,14 @@
 """Slow, obvious reference implementations used only by the tests.
 
+Each one shares no code with the library routine it checks.
+
+sawtooth and dedekind_sum_literal evaluate the Dedekind sum from its
+definition, term by term; the library uses the reciprocity descent.
+
+inertia_elimination counts the inertia of the tridiagonal matrix of a
+word by symmetric elimination with rational pivots; the library reads it
+off the signs of the integer leading principal minors.
+
 log_eta_product is the product formula for log eta,
 
     log eta(z) = pi i z / 12 + sum_{n=1}^{N} Log(1 - q^n),   q = e^{2 pi i z},
@@ -12,10 +21,71 @@ instead; the two share no code.
 """
 
 import math
+from fractions import Fraction
 
 import mpmath
 
+from rademacher.errors import NotCoprimeError
+
 GUARD_DIGITS = 10
+
+
+def sawtooth(x: Fraction) -> Fraction:
+    """((x)) = x - floor(x) - 1/2 for x not an integer, 0 otherwise."""
+    x = Fraction(x)
+    if x.denominator == 1:
+        return Fraction(0)
+    return x - math.floor(x) - Fraction(1, 2)
+
+
+def dedekind_sum_literal(h: int, k: int) -> Fraction:
+    """The defining sum, evaluated term by term.
+
+    Each nonzero term is (2(h mu mod k) - k)(2 mu - k)/(4 k^2); the mu = k
+    term vanishes, and h mu mod k = 0 only at mu = k since gcd(h, k) = 1.
+    """
+    if k <= 0 or math.gcd(h, k) != 1:
+        raise NotCoprimeError(f"need k > 0 and gcd(h, k) = 1, got ({h}, {k})")
+    total = 0
+    for mu in range(1, k):
+        r = (h * mu) % k
+        if r:
+            total += (2 * r - k) * (2 * mu - k)
+    return Fraction(total, 4 * k * k)
+
+
+def inertia_elimination(word) -> tuple[int, int, int]:
+    """(n_pos, n_neg, n_zero) by symmetric Gaussian elimination.
+
+    1x1 pivots contribute their sign and update the next diagonal entry by
+    -1/pivot.  A zero pivot with a successor is handled as a 2x2 block
+    [[0,1],[1,x]], always one positive and one negative eigenvalue; its
+    Schur complement on the rest vanishes for unit off-diagonals, so the
+    elimination just skips past the block.  A trailing zero pivot is a zero
+    eigenvalue.
+    """
+    diag = [Fraction(a) for a in word]
+    n_pos = n_neg = n_zero = 0
+    i = 0
+    k = len(diag)
+    while i < k:
+        piv = diag[i]
+        if piv == 0:
+            if i + 1 == k:
+                n_zero += 1
+            else:
+                n_pos += 1
+                n_neg += 1
+            i += 2
+            continue
+        if piv > 0:
+            n_pos += 1
+        else:
+            n_neg += 1
+        if i + 1 < k:
+            diag[i + 1] -= 1 / piv
+        i += 1
+    return n_pos, n_neg, n_zero
 
 
 def product_terms(y: float, digits: int) -> int:

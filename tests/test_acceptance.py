@@ -20,18 +20,15 @@ from pathlib import Path
 
 import mpmath
 import pytest
+from conftest import round_trip_matrices, word_matrix_roundtrip
+from oracles import dedekind_sum_literal
 
 from rademacher.cli import run
-from rademacher.dedekind import (
-    dedekind_sum_fast,
-    dedekind_sum_literal,
-    rademacher_phi,
-)
+from rademacher.dedekind import dedekind_sum, rademacher_phi
 from rademacher.eta import GUARD_DIGITS, verify_eta_transform, verify_theorem1
 from rademacher.fricke import phi_p, phi_p_geometric, random_gamma0
 from rademacher.inertia import km_phi, tridiag_signature, tridiag_trace
 from rademacher.matrices import (
-    S,
     T,
     FrickeElement,
     UnimodularMatrix,
@@ -40,13 +37,7 @@ from rademacher.matrices import (
     t_power,
 )
 from rademacher.render import render_svg
-from rademacher.words import (
-    decompose,
-    endpoints,
-    reconstruct,
-    turns_from_endpoints,
-    word_matrix_roundtrip,
-)
+from rademacher.words import endpoints, reconstruct, turns_from_endpoints
 
 GOLDEN = Path(__file__).parent / "golden" / "figure_path.svg"
 PRIMES = (3, 5, 7, 11, 13)
@@ -185,7 +176,7 @@ def test_criterion_04_dedekind_oracles(announce):
         coprime_h = [h for h in range(k) if gcd(h, k) == 1]
         for h0 in coprime_h:
             base = dedekind_sum_literal(h0, k)
-            if base != dedekind_sum_fast(h0, k):
+            if base != dedekind_sum(h0, k):
                 bad += 1
             pairs += 1
             # every |h| <= 400 with this residue, via the literal evaluator
@@ -193,22 +184,22 @@ def test_criterion_04_dedekind_oracles(announce):
                 if h == h0:
                     continue
                 pairs += 1
-                if dedekind_sum_literal(h, k) != base or dedekind_sum_fast(h, k) != base:
+                if dedekind_sum_literal(h, k) != base or dedekind_sum(h, k) != base:
                     bad += 1
                     break
     recip_bad = 0
     for k in range(1, 401):
         for h in range(1, 401):
             if gcd(h, k) == 1:
-                lhs = dedekind_sum_fast(h, k) + dedekind_sum_fast(k, h)
+                lhs = dedekind_sum(h, k) + dedekind_sum(k, h)
                 if lhs != Fraction(-1, 4) + Fraction(h * h + k * k + 1, 12 * h * k):
                     recip_bad += 1
     closed_bad = sum(
-        dedekind_sum_fast(1, k) != Fraction((k - 1) * (k - 2), 12 * k) for k in range(1, 401)
+        dedekind_sum(1, k) != Fraction((k - 1) * (k - 2), 12 * k) for k in range(1, 401)
     )
     dt = time.perf_counter() - t0
     ok = bad == 0 and recip_bad == 0 and closed_bad == 0
-    announce(4, ok, f"literal == fast on {pairs} pairs (k <= 400, |h| <= 400), "
+    announce(4, ok, f"literal == descent on {pairs} pairs (k <= 400, |h| <= 400), "
                    f"reciprocity and s(1,k) closed form exact ({dt:.0f}s)")
 
 
@@ -401,24 +392,7 @@ def test_criterion_09_round_trips(sweep, announce):
     # over [-3, 3] (interior zeros included) plus random matrices
     bad_a = 0
     count_a = 0
-
-    def walk(m, depth):
-        nonlocal bad_a, count_a
-        count_a += 1
-        if not word_matrix_roundtrip(m):
-            bad_a += 1
-        if depth == 0:
-            return
-        for a in range(-3, 4):
-            walk(m * UnimodularMatrix(a, -1, 1, 0), depth - 1)
-
-    walk(S, 6)
-    rng = random.Random(9009)
-    for _ in range(10_000):
-        w = tuple(rng.randint(-5, 5) for _ in range(rng.randint(0, 12)))
-        m = reconstruct(w)
-        if rng.random() < 0.5:
-            m = -m
+    for m in round_trip_matrices():
         count_a += 1
         if not word_matrix_roundtrip(m):
             bad_a += 1

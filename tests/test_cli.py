@@ -151,6 +151,8 @@ def test_domain_error_exit_1(capsys):
     ("0,-1", "not_upper_half_plane"),
     # finite in mpmath; its image under (3,1;8,3) has Im ~ 1.6e-402
     ("0.1,1e400", "imaginary_part_too_small"),
+    # checked before the image's tiny Im: 5000 extra digits would be needed
+    ("0.1,1e5000", "point_too_large"),
 ])
 def test_bad_z_one_json_error_exit_1(capsys, z, code):
     for argv in (["verify-eta", "--matrix", "3,1,8,3"],
@@ -228,12 +230,16 @@ def test_precision_env_default(capsys, monkeypatch):
     )
     assert code == 0 and payload["precision"] == 35
 
-    monkeypatch.setenv("RADEMACHER_PRECISION", "junk")
-    code, payload = run_json(
-        capsys, ["verify-eta", "--matrix", "1,1,0,1", "--z", "0.1,1.0",
-                 "--tolerance", "1e-25"],
-    )
-    assert code == 0 and payload["precision"] == 50  # falls back to default
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-5"])
+def test_precision_env_malformed_is_parse_error(capsys, monkeypatch, raw):
+    monkeypatch.setenv("RADEMACHER_PRECISION", raw)
+    for argv in (["verify-eta", "--matrix", "1,1,0,1"],
+                 ["verify-theorem1", "--p", "5", "--matrix", "1,0,5,1"]):
+        status = run(argv + ["--z", "0.1,1.0"])
+        lines = capsys.readouterr().out.splitlines()
+        assert status == 2 and len(lines) == 1
+        assert json.loads(lines[0])["error"]["code"] == "parse"
 
 
 def test_help_exits_zero(capsys):

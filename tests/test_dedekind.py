@@ -5,14 +5,9 @@ import pytest
 from conftest import random_matrix
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import dedekind_sum_literal, sawtooth
 
-from rademacher.dedekind import (
-    dedekind_sum,
-    dedekind_sum_fast,
-    dedekind_sum_literal,
-    rademacher_phi,
-    sawtooth,
-)
+from rademacher.dedekind import dedekind_sum, rademacher_phi
 from rademacher.errors import NotCoprimeError
 from rademacher.matrices import S, T, UnimodularMatrix, parse_matrix, sgn, t_power
 
@@ -40,7 +35,7 @@ coprime_pairs = st.tuples(st.integers(-600, 600), st.integers(1, 600)).filter(
 
 
 def test_frozen_sums():
-    for f in (dedekind_sum, dedekind_sum_literal, dedekind_sum_fast):
+    for f in (dedekind_sum, dedekind_sum_literal):
         assert f(1, 3) == Fraction(1, 18)
         assert f(3, 8) == Fraction(1, 16)
         assert f(1, 5) == Fraction(1, 5)
@@ -64,7 +59,7 @@ def test_evaluators_agree_small_grid():
     for k in range(1, 61):
         for h in range(k):
             if gcd(h, k) == 1:
-                assert dedekind_sum_literal(h, k) == dedekind_sum_fast(h, k)
+                assert dedekind_sum_literal(h, k) == dedekind_sum(h, k)
 
 
 def test_precondition_errors():
@@ -87,7 +82,7 @@ def test_periodicity_and_oddness(pair):
 @given(st.tuples(st.integers(1, 2000), st.integers(1, 2000)).filter(lambda t: gcd(*t) == 1))
 def test_reciprocity(pair):
     h, k = pair
-    lhs = dedekind_sum_fast(h, k) + dedekind_sum_fast(k, h)
+    lhs = dedekind_sum(h, k) + dedekind_sum(k, h)
     rhs = Fraction(-1, 4) + Fraction(h * h + k * k + 1, 12 * h * k)
     assert lhs == rhs
 

@@ -93,6 +93,26 @@ def test_huge_imaginary_part():
         assert value == mpmath.pi * 1j * z / 12
 
 
+def test_huge_point_certificate_is_absolute():
+    # at Im z = 1e400, S = 1 far beyond any precision, so log eta(w) is
+    # pi i w / 12; values near 1e399 hold to 10^-P only with the 400 digits
+    # of the magnitude guard
+    prec = 50
+    with mp(prec):
+        z = mpmath.mpc("0.1", "1e400")
+    reports = (
+        (verify_eta_transform(T, z, prec=prec), 12),
+        (verify_theorem1(FrickeElement.gamma0(5, T), z, prec=prec), 4),
+    )
+    with mpmath.workdps(prec + 500):
+        for report, den in reports:
+            ref = mpmath.pi * 1j * (mpmath.mpc(z) + 1) / den
+            assert report.working_digits >= prec + GUARD_DIGITS + 400
+            assert abs(report.lhs - ref) < mpmath.mpf(10) ** -prec
+            assert abs(report.rhs - ref) < mpmath.mpf(10) ** -prec
+            assert report.residual < mpmath.mpf(10) ** -prec
+
+
 def test_mapped_point_near_axis_is_too_small_not_off_plane():
     # Im(g z) = Im z / |c z + d|^2 is formed directly, so it stays positive
     with mp(50):

@@ -1,15 +1,10 @@
 from conftest import random_word
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import inertia_elimination
 
 from rademacher.dedekind import rademacher_phi
-from rademacher.inertia import (
-    inertia_elimination,
-    inertia_minors,
-    km_phi,
-    tridiag_signature,
-    tridiag_trace,
-)
+from rademacher.inertia import inertia_minors, km_phi, tridiag_signature, tridiag_trace
 from rademacher.words import reconstruct
 
 any_words = st.lists(st.integers(-7, 7), min_size=0, max_size=10).map(tuple)

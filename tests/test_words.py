@@ -1,5 +1,5 @@
 import pytest
-from conftest import random_matrix, random_word
+from conftest import random_matrix, round_trip_matrices, word_matrix_roundtrip
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -15,7 +15,6 @@ from rademacher.words import (
     is_edge,
     reconstruct,
     turns_from_endpoints,
-    word_matrix_roundtrip,
 )
 
 any_words = st.lists(st.integers(-6, 6), min_size=0, max_size=8).map(tuple)
@@ -74,6 +73,9 @@ def test_turns_frozen():
     assert turns_from_endpoints([INFINITY, ZERO]) == ()
     assert turns_from_endpoints(endpoints((-2, 1, -2))) == (-2, 1, -2)
     assert turns_from_endpoints([Farey(1, 0), Farey(0, 1), Farey(-1, 2)]) == (2,)
+    # raw pairs, either sign on the base vertices, mixed with Farey vertices
+    assert turns_from_endpoints([(1, 0), (0, 1), (-1, 2)]) == (2,)
+    assert turns_from_endpoints([(-1, 0), (0, -1), Farey(-1, 2)]) == (2,)
 
 
 def test_turns_errors():
@@ -83,6 +85,13 @@ def test_turns_errors():
         turns_from_endpoints([ZERO, INFINITY, Farey(1, 1)])
     with pytest.raises(NotAnEdgeError):
         turns_from_endpoints([INFINITY, ZERO, Farey(2, 5)])
+    # raw pairs are read as given: unreduced vertices are not edges
+    with pytest.raises(WrongBaseEdgeError):
+        turns_from_endpoints([(2, 0), (0, 1)])
+    with pytest.raises(WrongBaseEdgeError):
+        turns_from_endpoints([(1, 0), (0, 0)])
+    with pytest.raises(NotAnEdgeError):
+        turns_from_endpoints([(1, 0), (0, 1), (-2, 4)])
 
 
 @given(any_words)
@@ -129,9 +138,13 @@ def test_infinity_pivot_regressions():
 
 
 def test_decompose_no_interior_zeros(rng):
+    # decompose's docstring proves this; check it on criterion 9's set too
     for _ in range(300):
         w = decompose(random_matrix(rng, max_len=8, cap=5))
         assert 0 not in w[1:-1]
+    for m in round_trip_matrices():
+        w = decompose(m)
+        assert 0 not in w[1:-1], m
 
 
 def test_roundtrip_random(rng):
