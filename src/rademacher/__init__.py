@@ -1,4 +1,8 @@
-"""Exact Rademacher symbols, Farey edge paths, and eta transformation checks."""
+"""Exact Rademacher symbols, Farey edge paths, and eta transformation checks.
+
+The eta names are loaded on first use (PEP 562), so the exact parts of
+the package run without importing mpmath.
+"""
 
 from .dedekind import dedekind_sum, rademacher_phi
 from .errors import (
@@ -14,15 +18,8 @@ from .errors import (
     ParseError,
     PointTooLargeError,
     PrimeMismatchError,
+    PrimeTooLargeError,
     WrongBaseEdgeError,
-)
-from .eta import (
-    VerificationReport,
-    eta_p_branch_ratio,
-    log_eta,
-    log_eta_p,
-    verify_eta_transform,
-    verify_theorem1,
 )
 from .fricke import conjugate_by_p, k_of_p, phi_p, phi_p_geometric, random_gamma0
 from .inertia import inertia_minors, km_phi, tridiag_signature, tridiag_trace
@@ -75,6 +72,7 @@ __all__ = [
     "ParseError",
     "PointTooLargeError",
     "PrimeMismatchError",
+    "PrimeTooLargeError",
     "RenderOptions",
     "S",
     "T",
@@ -113,3 +111,22 @@ __all__ = [
     "verify_theorem1",
     "__version__",
 ]
+
+_ETA_NAMES = frozenset({
+    "VerificationReport",
+    "eta_p_branch_ratio",
+    "log_eta",
+    "log_eta_p",
+    "verify_eta_transform",
+    "verify_theorem1",
+})
+
+
+def __getattr__(name):
+    if name in _ETA_NAMES:
+        from . import eta
+
+        value = getattr(eta, name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -15,9 +15,6 @@ import os
 import sys
 from fractions import Fraction
 
-import mpmath
-
-from . import eta
 from .dedekind import rademacher_phi
 from .errors import DomainError, ParseError
 from .fricke import phi_p
@@ -27,6 +24,8 @@ from .render import RenderOptions, render_svg
 from .words import decompose, endpoints
 
 DEFAULT_TOLERANCE = "1e-40"
+# render's rational flags: the 4300-digit ceiling Python puts on int("...")
+FRACTION_MAX_EXPONENT = 4300
 
 
 def _parse_word(text: str) -> tuple[int, ...]:
@@ -40,17 +39,29 @@ def _parse_word(text: str) -> tuple[int, ...]:
 
 
 def _parse_z(text: str, prec: int):
+    import mpmath
+
+    from .eta import GUARD_DIGITS
+
     parts = text.split(",")
     if len(parts) != 2:
         raise ParseError(f"z must be re,im with decimal parts, got {text!r}")
     try:
-        with mpmath.workdps(prec + eta.GUARD_DIGITS):
+        with mpmath.workdps(prec + GUARD_DIGITS):
             return mpmath.mpc(mpmath.mpf(parts[0].strip()), mpmath.mpf(parts[1].strip()))
     except ValueError as exc:
         raise ParseError(f"could not read z from {text!r}") from exc
 
 
 def _parse_fraction(text: str) -> Fraction:
+    # Fraction("1e999999999") would build that power of ten exactly
+    _, e, exponent = text.strip().lower().rpartition("e")
+    try:
+        huge = bool(e) and abs(int(exponent)) > FRACTION_MAX_EXPONENT
+    except ValueError:
+        huge = False  # not an exponent; Fraction below decides
+    if huge:
+        raise ParseError(f"exponent beyond {FRACTION_MAX_EXPONENT} in {text!r}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -60,7 +71,9 @@ def _parse_fraction(text: str) -> Fraction:
 def _default_precision() -> int:
     raw = os.environ.get("RADEMACHER_PRECISION")
     if raw is None:
-        return eta.DEFAULT_PRECISION
+        from .eta import DEFAULT_PRECISION
+
+        return DEFAULT_PRECISION
     try:
         value = int(raw)
     except ValueError:
@@ -184,6 +197,17 @@ def _run_km(args):
     )
 
 
+def _check_tolerance(text: str) -> None:
+    import mpmath
+
+    try:
+        ok = not mpmath.isnan(mpmath.mpf(text))
+    except ValueError:
+        ok = False
+    if not ok:
+        raise ParseError(f"tolerance must be a number, got {text!r}")
+
+
 def _verify_common(report, args):
     payload = report.to_dict(tolerance=args.tolerance)
     plain = [f"residual {payload['residual']}", f"pass {str(payload['pass']).lower()}"]
@@ -192,6 +216,9 @@ def _verify_common(report, args):
 
 
 def _run_verify_eta(args):
+    from . import eta
+
+    _check_tolerance(args.tolerance)
     prec = args.precision if args.precision is not None else _default_precision()
     g = parse_matrix(args.matrix)
     z = _parse_z(args.z, prec)
@@ -199,6 +226,9 @@ def _run_verify_eta(args):
 
 
 def _run_verify_theorem1(args):
+    from . import eta
+
+    _check_tolerance(args.tolerance)
     prec = args.precision if args.precision is not None else _default_precision()
     element = _fricke_arg(args)
     z = _parse_z(args.z, prec)

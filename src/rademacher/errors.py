@@ -27,6 +27,12 @@ class NotOddPrimeError(DomainError):
     code = "not_odd_prime"
 
 
+class PrimeTooLargeError(DomainError):
+    """p is beyond the range where the primality test is deterministic."""
+
+    code = "prime_too_large"
+
+
 class DivisibilityError(DomainError):
     code = "bad_divisibility"
 

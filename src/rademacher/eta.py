@@ -13,8 +13,10 @@ pi i z / 12 + sum_{n>=1} Log(1 - q^n), with principal logarithms term by
 term (each 1 - q^n lies in the right half plane).  P is the requested
 precision in decimal digits.  The evaluation has three stages.
 
-1. A complex128 pass sums A = sum_{n>=1} Log(1 - q^n) until |q^n| < 2^-60;
-   by Euler's identity prod (1 - q^n) = S, so A is a logarithm of S.
+1. A complex128 pass sums A = sum_{n>=1} Log(1 - q^n) term by term until
+   |q^n| < 2^-30 and closes the rest as -q^(n+1) / (1 - q), within
+   2^-60 / (1 - |q|^2) since |Log(1 - u) + u| <= |u|^2 / (1 - |u|).  By
+   Euler's identity prod (1 - q^n) = S, so A is a logarithm of S.
    Im A fixes k = round((Im A - Im Log S) / 2 pi); a fractional part
    beyond 1/4 raises ArithmeticError.  Re A is log|S|: near a cusp the
    alternating sum cancels (|eta(0.001 i)| ~ 6e-113), so the working
@@ -56,7 +58,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import mpmath
@@ -72,8 +73,8 @@ Y_MIN = 1e-3
 # the verify functions refuse |z| or |g z| beyond 10^MAGNITUDE_MAX_DIGITS:
 # each digit is carried on top of P, and 4000 of them already cost ~0.5 s
 MAGNITUDE_MAX_DIGITS = 4000
-# the complex128 pass stops once |q^n| < 2^-60
-_FLOAT_CUTOFF_LOG = 60 * math.log(2)
+# the complex128 pass sums Log(1 - q^n) term by term until |q^n| < 2^-30
+_FLOAT_CUTOFF_LOG = 30 * math.log(2)
 # beyond this Im z, exp(-2 pi Im z) is 0.0 in doubles; capping there only
 # loosens the tail bound, which grows with |q|
 _Y_FLOAT_CAP = 1e6
@@ -110,14 +111,19 @@ def _pentagonal_terms(y, digits: int):
 
 
 def _float_log_product(x: float, y: float) -> complex:
-    """sum_{n>=1} Log(1 - q^n) in complex128, stopped once |q^n| < 2^-60."""
+    """sum_{n>=1} Log(1 - q^n) in complex128.
+
+    Term by term until |q^n| < 2^-30, then the rest as -q^(n+1) / (1 - q):
+    each dropped Log(1 - u) differs from -u by at most |u|^2 / (1 - |u|),
+    so the closed tail is off by less than 2^-60 / (1 - |q|^2).
+    """
     q = cmath.exp(complex(-2 * math.pi * y, 2 * math.pi * x))
     total = 0j
     qn = 1
     for _ in range(math.ceil(_FLOAT_CUTOFF_LOG / (2 * math.pi * y))):
         qn *= q
         total += cmath.log(1 - qn)
-    return total
+    return total - qn * q / (1 - q)
 
 
 def _pentagonal_sum(w, y, log_abs_s_est: float, digits: int):
@@ -244,8 +250,7 @@ def eta_p_branch_ratio(p: int, z, prec: int = DEFAULT_PRECISION):
         return mpmath.exp(add) / principal
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of one numeric check of a transformation law.
 
     truncation_terms, tail_bound and working_digits are the largest over

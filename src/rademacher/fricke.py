@@ -62,7 +62,8 @@ def _coset_reduction(e: FrickeElement) -> tuple[FrickeElement, int]:
     term is -3 sgn(-a c) = -3 sgn(-alpha gamma).
     """
     al, be, ga, de = e.q
-    reduced = FrickeElement.gamma0(e.p, UnimodularMatrix(ga, de, -e.p * al, -be))
+    # the constructor checks det 1 and p | c itself
+    reduced = FrickeElement(e.p, GAMMA0, (ga, de, -e.p * al, -be))
     return reduced, -3 * sgn(-al * ga)
 
 

@@ -12,8 +12,7 @@ All arithmetic is exact; sqrt(p) never appears outside the eta module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import isqrt
+from operator import attrgetter
 
 from .errors import (
     DeterminantError,
@@ -21,7 +20,10 @@ from .errors import (
     NotOddPrimeError,
     ParseError,
     PrimeMismatchError,
+    PrimeTooLargeError,
 )
+
+_set = object.__setattr__
 
 
 def sgn(x) -> int:
@@ -29,29 +31,93 @@ def sgn(x) -> int:
     return (x > 0) - (x < 0)
 
 
+# the first 13 primes: Miller-Rabin to these bases is exact below
+# MILLER_RABIN_LIMIT (Sorenson and Webster, "Strong pseudoprimes to twelve
+# prime bases", Math. Comp. 86 (2017))
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_SMALL_ODD_PRIMES = frozenset(_MR_BASES[1:])
+MILLER_RABIN_LIMIT = 3317044064679887385961981
+
+
 def is_odd_prime(p: int) -> bool:
-    """Deterministic trial division; inputs here are small."""
-    if p < 3 or p % 2 == 0:
-        return False
-    for d in range(3, isqrt(p) + 1, 2):
-        if p % d == 0:
+    """Deterministic: trial division by the primes up to 41, then
+    Miller-Rabin to the first 13 prime bases, which is exact below
+    MILLER_RABIN_LIMIT (~3.3e24).  PrimeTooLargeError for a candidate at or
+    beyond the limit that no trial divisor rules out."""
+    if p <= 41:
+        return p in _SMALL_ODD_PRIMES
+    for b in _MR_BASES:
+        if p % b == 0:
+            return False
+    if p >= MILLER_RABIN_LIMIT:
+        raise PrimeTooLargeError(
+            f"p = {p} is beyond {MILLER_RABIN_LIMIT}, where the primality test "
+            f"is no longer deterministic"
+        )
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
     return True
 
 
-@dataclass(frozen=True)
-class UnimodularMatrix:
+class _Value:
+    """Immutable value object over the fields named in __slots__ (two or
+    more): type-strict equality and hashing on the field tuple, and a
+    dataclass-style repr.  Subclasses set their fields in __init__ with
+    object.__setattr__."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = property(attrgetter(*cls.__slots__))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields == other._fields
+
+    def __hash__(self):
+        return hash(self._fields)
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({args})"
+
+    def __reduce__(self):
+        return type(self), self._fields
+
+
+class UnimodularMatrix(_Value):
     """(a, b; c, d) with ad - bc = 1 over arbitrary-size integers."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ("a", "b", "c", "d")
 
-    def __post_init__(self):
-        det = self.a * self.d - self.b * self.c
+    def __init__(self, a: int, b: int, c: int, d: int):
+        det = a * d - b * c
         if det != 1:
             raise DeterminantError(f"determinant is {det}, expected 1")
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "c", c)
+        _set(self, "d", d)
 
     def __mul__(self, other: "UnimodularMatrix") -> "UnimodularMatrix":
         return UnimodularMatrix(
@@ -107,8 +173,7 @@ GAMMA0 = "gamma0"
 COSET = "fricke_coset"
 
 
-@dataclass(frozen=True)
-class FrickeElement:
+class FrickeElement(_Value):
     """Element of the group generated by Gamma0(p) and the involution W_p.
 
     kind is GAMMA0 or COSET.  For GAMMA0 the integer quadruple is a
@@ -117,27 +182,28 @@ class FrickeElement:
     standing for the real matrix (1/sqrt p)(p*alpha, beta; p*gamma, p*delta).
     """
 
-    p: int
-    kind: str
-    q: tuple[int, int, int, int]
+    __slots__ = ("p", "kind", "q")
 
-    def __post_init__(self):
-        if not is_odd_prime(self.p):
-            raise NotOddPrimeError(f"p = {self.p} is not an odd prime")
-        a, b, c, d = self.q
-        if self.kind == GAMMA0:
+    def __init__(self, p: int, kind: str, q: tuple[int, int, int, int]):
+        if not is_odd_prime(p):
+            raise NotOddPrimeError(f"p = {p} is not an odd prime")
+        a, b, c, d = q
+        if kind == GAMMA0:
             if a * d - b * c != 1:
                 raise DeterminantError("Gamma0 part must have determinant 1")
-            if c % self.p != 0:
-                raise DivisibilityError(f"lower-left entry {c} not divisible by {self.p}")
-        elif self.kind == COSET:
-            if self.p * a * d - b * c != 1:
+            if c % p != 0:
+                raise DivisibilityError(f"lower-left entry {c} not divisible by {p}")
+        elif kind == COSET:
+            if p * a * d - b * c != 1:
                 raise DeterminantError(
                     f"coset normal form needs p*alpha*delta - beta*gamma = 1, "
-                    f"got {self.p * a * d - b * c}"
+                    f"got {p * a * d - b * c}"
                 )
         else:
-            raise ValueError(f"unknown kind {self.kind!r}")
+            raise ValueError(f"unknown kind {kind!r}")
+        _set(self, "p", p)
+        _set(self, "kind", kind)
+        _set(self, "q", q)
 
     # -- constructors -------------------------------------------------
 

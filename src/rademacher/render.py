@@ -8,7 +8,6 @@ places and round-half-even, so equal inputs give byte-identical output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
@@ -21,7 +20,10 @@ _QUANTUM = Decimal("1.000000000000")
 def _fmt(x) -> str:
     x = Fraction(x)
     with localcontext() as ctx:
-        ctx.prec = 60
+        # the integer digits plus 12 decimals must fit, or quantize fails;
+        # below 2^150 (46 digits) the default of 60 digits does
+        bits = x.numerator.bit_length() - x.denominator.bit_length()
+        ctx.prec = 60 if bits < 150 else int((bits + 1) * 0.30103) + 14
         d = (Decimal(x.numerator) / Decimal(x.denominator)).quantize(
             _QUANTUM, rounding=ROUND_HALF_EVEN
         )
@@ -30,28 +32,36 @@ def _fmt(x) -> str:
     return str(d)
 
 
-@dataclass
 class RenderOptions:
     """x range and cap are plane units; None means derive from the path."""
 
-    x_min: Fraction | None = None
-    x_max: Fraction | None = None
-    height_cap: Fraction | None = None
-    width_px: int = 800
-    height_px: int = 560
-    stroke_width: Fraction = Fraction(3, 2)
-    font_size: Fraction = Fraction(14)
-    label_vertices: bool = True
-
-    def __post_init__(self):
-        if self.width_px <= 0 or self.height_px <= 0:
+    def __init__(
+        self,
+        x_min: Fraction | None = None,
+        x_max: Fraction | None = None,
+        height_cap: Fraction | None = None,
+        width_px: int = 800,
+        height_px: int = 560,
+        stroke_width: Fraction = Fraction(3, 2),
+        font_size: Fraction = Fraction(14),
+        label_vertices: bool = True,
+    ):
+        if width_px <= 0 or height_px <= 0:
             raise ParseError("pixel dimensions must be positive")
-        if self.stroke_width <= 0 or self.font_size <= 0:
+        if stroke_width <= 0 or font_size <= 0:
             raise ParseError("stroke width and font size must be positive")
-        if self.x_min is not None and self.x_max is not None and self.x_min >= self.x_max:
+        if x_min is not None and x_max is not None and x_min >= x_max:
             raise ParseError("x_min must be strictly less than x_max")
-        if self.height_cap is not None and self.height_cap <= 0:
+        if height_cap is not None and height_cap <= 0:
             raise ParseError("height cap must be positive")
+        self.x_min = x_min
+        self.x_max = x_max
+        self.height_cap = height_cap
+        self.width_px = width_px
+        self.height_px = height_px
+        self.stroke_width = stroke_width
+        self.font_size = font_size
+        self.label_vertices = label_vertices
 
 
 def _x_range(vertices: list[Farey], opts: RenderOptions) -> tuple[Fraction, Fraction]:

@@ -14,27 +14,24 @@ turns_from_endpoints convert between words and vertex sequences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .errors import NotAnEdgeError, ParseError, WrongBaseEdgeError
-from .matrices import S, UnimodularMatrix
+from .matrices import S, UnimodularMatrix, _Value
 
 EdgeWord = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Farey:
+class Farey(_Value):
     """Reduced fraction n/d with d >= 0; d = 0 only for n = +-1 (infinity)."""
 
-    n: int
-    d: int
+    __slots__ = ("n", "d")
 
-    def __post_init__(self):
-        if self.n == 0 and self.d == 0:
+    def __init__(self, n: int, d: int):
+        if n == 0 and d == 0:
             raise ParseError("0/0 is not a vertex")
-        g = gcd(self.n, self.d)
-        n, d = self.n // g, self.d // g
+        g = gcd(n, d)
+        n, d = n // g, d // g
         if d < 0:
             n, d = -n, -d
         object.__setattr__(self, "n", n)

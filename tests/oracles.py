@@ -18,8 +18,13 @@ half plane, so the sum never cancels and the exponential of the sum is
 eta itself.  It needs one multi-precision Log per term, O(P / Im z) of
 them, which is why the library evaluates Euler's pentagonal series
 instead; the two share no code.
+
+float_log_product is the same product sum in complex128, term by term
+until |q^n| < 2^-60; the library stops at 2^-30 and closes the rest in
+one expression.
 """
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -110,3 +115,15 @@ def log_eta_product(z, prec: int):
             qn *= q
             total += mpmath.log(1 - qn)
         return total
+
+
+def float_log_product(x: float, y: float) -> complex:
+    """sum_{n>=1} Log(1 - q^n), q = e^(2 pi i (x + i y)), in complex128,
+    term by term until |q^n| < 2^-60."""
+    q = cmath.exp(complex(-2 * math.pi * y, 2 * math.pi * x))
+    total = 0j
+    qn = 1
+    for _ in range(math.ceil(60 * math.log(2) / (2 * math.pi * y))):
+        qn *= q
+        total += cmath.log(1 - qn)
+    return total

@@ -3,7 +3,11 @@ reference implementations live only under tests/."""
 
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import oracles
 
@@ -11,6 +15,8 @@ import rademacher
 
 # helpers that left the library for the tests, besides the oracles themselves
 MOVED = {"dedekind_sum_fast", "word_matrix_roundtrip", "LITERAL_THRESHOLD"}
+ETA_NAMES = {"VerificationReport", "eta_p_branch_ratio", "log_eta", "log_eta_p",
+             "verify_eta_transform", "verify_theorem1"}
 
 
 def _oracle_names():
@@ -39,3 +45,40 @@ def test_no_oracle_in_the_library():
         assert name not in rademacher.__all__, name
         for module in modules:
             assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def _fresh_modules(code: str) -> set:
+    """Modules that running code adds to a fresh interpreter's sys.modules."""
+    env = dict(os.environ)
+    src = str(Path(rademacher.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = ("import sys; before = set(sys.modules)\n" + code +
+             "\nprint(' '.join(sorted(set(sys.modules) - before)))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    return set(done.stdout.split())
+
+
+def test_exact_cli_loads_neither_mpmath_nor_dataclasses():
+    added = _fresh_modules("import rademacher.cli")
+    assert "rademacher.cli" in added
+    assert not {"mpmath", "dataclasses", "rademacher.eta"} & added
+    added = _fresh_modules(
+        "import contextlib, io\n"
+        "from rademacher.cli import run\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert run(['phi', '--matrix=2,1,1,1']) == 0"
+    )
+    assert not {"mpmath", "dataclasses"} & added
+
+
+def test_eta_names_load_on_first_use():
+    from rademacher import eta
+
+    assert rademacher.log_eta is eta.log_eta
+    namespace = {}
+    exec("from rademacher import *", namespace)
+    assert ETA_NAMES <= set(namespace) and ETA_NAMES <= set(rademacher.__all__)
+    for name in ETA_NAMES:
+        assert namespace[name] is getattr(eta, name)
+    assert "mpmath" in _fresh_modules("from rademacher import log_eta")

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -144,6 +145,19 @@ def test_domain_error_exit_1(capsys):
     assert code == 1 and payload["error"]["code"] == "imaginary_part_too_small"
 
 
+def test_large_prime_level(capsys):
+    p = 2**61 - 1
+    start = time.perf_counter()
+    code, payload = run_json(capsys, ["phi-p", "--p", str(p), "--matrix", f"1,0,{p},1"])
+    assert time.perf_counter() - start < 1
+    e = FrickeElement.gamma0(p, parse_matrix(f"1,0,{p},1"))
+    assert code == 0 and payload == {"phi_p": str(phi_p(e))}
+
+    p = 2**89 - 1
+    code, payload = run_json(capsys, ["phi-p", "--p", str(p), "--matrix", f"1,0,{p},1"])
+    assert code == 1 and payload["error"]["code"] == "prime_too_large"
+
+
 @pytest.mark.parametrize("z, code", [
     ("nan,1", "not_upper_half_plane"),
     ("inf,1", "not_upper_half_plane"),
@@ -219,6 +233,23 @@ def test_render_bad_range_exit_2(capsys):
     code, payload = run_json(
         capsys, ["render", "--word=2", "--x-min", "1", "--x-max", "1"]
     )
+    assert code == 2 and payload["error"]["code"] == "parse"
+
+
+def test_render_huge_and_tiny_options(capsys):
+    # coordinates beyond 60 digits used to fail in Decimal.quantize
+    assert run(["render", "--word=2", "--width-px", "1" + "0" * 70]) == 0
+    assert run(["render", "--word=2", "--x-min=-1e400", "--height-cap=1e-400"]) == 0
+    capsys.readouterr()
+    # Fraction("1e999999999") would build the whole power of ten
+    code, payload = run_json(capsys, ["render", "--word=2", "--height-cap=1e999999999"])
+    assert code == 2 and payload["error"]["code"] == "parse"
+
+
+@pytest.mark.parametrize("tolerance", ["junk", "nan", ""])
+def test_bad_tolerance_is_parse_error(capsys, tolerance):
+    code, payload = run_json(capsys, ["verify-eta", "--matrix=1,1,0,1", "--z=0.1,1",
+                                      f"--tolerance={tolerance}"])
     assert code == 2 and payload["error"]["code"] == "parse"
 
 

@@ -4,7 +4,7 @@ import re
 import mpmath
 import pytest
 
-from oracles import log_eta_product
+from oracles import float_log_product, log_eta_product
 from rademacher import eta
 from rademacher.errors import DomainError, ImaginaryPartError, NotUpperHalfPlaneError
 from rademacher.eta import (
@@ -188,6 +188,19 @@ def test_product_oracle_on_criterion_8_panel():
         ref = log_eta_product(z, prec)
         with mp(2 * prec):
             assert abs(value - ref) < mpmath.mpf(10) ** -prec, z
+
+
+def test_float_pass_matches_full_loop():
+    # the closed tail -q^(n+1)/(1-q) stays within 2^-60/(1-|q|^2) of the
+    # terms it replaces.  The bound is 1e-12 relative to the sum once that
+    # exceeds 1: at z = 0.001 i the sum is -258, and the full loop's 6,600
+    # float additions alone leave it about 3e-12 off the exact series.
+    points = list(_panel_points(100))
+    points += [mpmath.mpc(x, y) for x in ("0", "0.3", "0.77") for y in ("0.001", "0.0015")]
+    for z in points:
+        x, y = float(mpmath.frac(z.real)), min(float(z.imag), eta._Y_FLOAT_CAP)
+        full = float_log_product(x, y)
+        assert abs(eta._float_log_product(x, y) - full) < 1e-12 * max(1, abs(full)), z
 
 
 def test_log_eta_p_definition_and_shift():

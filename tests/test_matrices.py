@@ -1,3 +1,7 @@
+import copy
+import pickle
+import time
+
 import pytest
 from conftest import random_matrix
 from hypothesis import given
@@ -9,6 +13,7 @@ from rademacher.errors import (
     NotOddPrimeError,
     ParseError,
     PrimeMismatchError,
+    PrimeTooLargeError,
 )
 from rademacher.matrices import (
     COSET,
@@ -27,6 +32,7 @@ from rademacher.matrices import (
     sgn,
     t_power,
 )
+from rademacher.words import Farey
 
 words = st.lists(st.integers(-5, 5), min_size=0, max_size=8)
 
@@ -44,6 +50,30 @@ def test_sgn():
 
 def test_is_odd_prime():
     assert [p for p in range(2, 30) if is_odd_prime(p)] == [3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def test_is_odd_prime_matches_a_sieve():
+    n = 20000
+    sieve = [True] * n
+    sieve[0] = sieve[1] = False
+    for i in range(2, n):
+        if sieve[i]:
+            sieve[i * i::i] = [False] * len(range(i * i, n, i))
+    assert [p for p in range(n) if is_odd_prime(p)] == [p for p in range(3, n) if sieve[p]]
+
+
+def test_is_odd_prime_large():
+    start = time.perf_counter()
+    assert is_odd_prime(2**61 - 1)
+    assert time.perf_counter() - start < 0.1
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to every prime base up to 23
+    assert not is_odd_prime(3215031751)
+    assert not is_odd_prime(3825123056546413051)
+    # beyond the deterministic range; a multiple of a small base is still answered
+    with pytest.raises(PrimeTooLargeError) as info:
+        is_odd_prime(2**89 - 1)
+    assert info.value.code == "prime_too_large"
+    assert not is_odd_prime(3 * (2**89 - 1))
 
 
 def test_determinant_enforced():
@@ -223,3 +253,27 @@ def test_str_forms(rng):
     assert str(fricke_involution(5)) == "5:0,-1,1,0"
     m = random_matrix(rng)
     assert parse_matrix(str(m)) == m
+
+
+@pytest.mark.parametrize("value, field", [
+    (UnimodularMatrix(1, 0, 0, 1), "a"),
+    (FrickeElement.gamma0(5, T), "q"),
+    (Farey(1, 2), "n"),
+])
+def test_value_types_are_immutable_values(value, field):
+    with pytest.raises(AttributeError):
+        setattr(value, field, 0)
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    twin = copy.deepcopy(value)
+    assert twin == value and hash(twin) == hash(value)
+    assert pickle.loads(pickle.dumps(value)) == value
+    # type-strict: never equal to the tuple of its fields
+    assert value != tuple(getattr(value, name) for name in value.__slots__)
+
+
+def test_value_types_repr():
+    assert repr(UnimodularMatrix(1, 0, 0, 1)) == "UnimodularMatrix(a=1, b=0, c=0, d=1)"
+    assert repr(Farey(2, -4)) == "Farey(n=-1, d=2)"
+    assert repr(fricke_involution(5)) == "FrickeElement(p=5, kind='fricke_coset', q=(0, -1, 1, 0))"
+    assert UnimodularMatrix(1, 0, 0, 1) != (1, 0, 0, 1)
