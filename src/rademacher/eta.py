@@ -22,13 +22,21 @@ precision in decimal digits.  The evaluation has three stages.
    alternating sum cancels (|eta(0.001 i)| ~ 6e-113), so the working
    precision is raised by ceil(-log10 |S|) digits on top of the
    GUARD_DIGITS carried everywhere.
-2. The sum runs over n = 0, +-1, +-2, ...  After the terms +-n the
+2. The sum runs over n = 0, +-1, +-2, ... in complex fixed point: q and
+   its powers are pairs of Python ints scaled by 2^F, with F the working
+   precision in bits plus 3 bits per bit of twice the summand count the
+   stopping test predicts.  Every factor has modulus <= 1 and each
+   product is truncated by less than one unit 2^-F per part, so S_N is
+   within N^3/2 * 2^-F < 2^-prec of the exact partial sum (the proof is
+   at _pentagonal_sum): below the 10^-working of the working precision,
+   which already carries the cancellation guard, so S_N keeps
+   digits + magnitude digits relative to |S|.  After the terms +-n the
    exponents left are distinct integers >= e = (n+1)(3n+2)/2, so the
    dropped tail is at most t = |q|^e / (1 - |q|) and the logarithm moves
-   by at most -log(1 - t/|S_n|), with S_n the multi-precision partial
-   sum.  The sum stops once that bound is below 10^-(P+10).  The test
-   runs in log space: |q|^e leaves the double range long before it
-   reaches 10^-(P+10) near a cusp.
+   by at most -log(1 - t/|S_n|).  The sum stops once that bound is below
+   10^-(P+10).  The test runs in log space on the top 60 bits of S_n:
+   |q|^e leaves the double range long before it reaches 10^-(P+10) near
+   a cusp.
 3. One Log of the sum.
 
 That is O(sqrt(P / Im z)) multiplications and one Log, where the product
@@ -39,10 +47,11 @@ as too costly: the summands grow like sqrt(P / Im z) and the
 cancellation guard like 1 / Im z digits.
 
 Both sides of a transformation law are about as large as |z| and |g z|,
-so the verify functions carry ceil(log10 max(|z|, |g z|)) more digits
-when that is positive (the magnitude guard), and the residual stays an
-absolute 10^-P certificate.  Beyond 10^MAGNITUDE_MAX_DIGITS they refuse
-the point (PointTooLargeError) as too costly.
+p |z| and p |g z| for the level-p law, so the verify functions carry
+ceil(log10 of the largest) more digits when that is positive (the
+magnitude guard), and the residual stays an absolute 10^-P certificate.
+Beyond 10^MAGNITUDE_MAX_DIGITS they refuse the point (PointTooLargeError)
+as too costly.
 
 The level-p function uses the additive branch
 
@@ -61,6 +70,7 @@ import math
 from typing import NamedTuple
 
 import mpmath
+from mpmath.libmp import from_man_exp, to_fixed
 
 from .dedekind import rademacher_phi
 from .errors import DomainError, ImaginaryPartError, NotUpperHalfPlaneError, PointTooLargeError
@@ -78,6 +88,7 @@ _FLOAT_CUTOFF_LOG = 30 * math.log(2)
 # beyond this Im z, exp(-2 pi Im z) is 0.0 in doubles; capping there only
 # loosens the tail bound, which grows with |q|
 _Y_FLOAT_CAP = 1e6
+_LOG2 = math.log(2)
 
 
 class _LogEta(NamedTuple):
@@ -126,6 +137,12 @@ def _float_log_product(x: float, y: float) -> complex:
     return total - qn * q / (1 - q)
 
 
+def _log_abs_fixed(re: int, im: int, bits: int) -> float:
+    """log |(re + i im) 2^-bits| in doubles, from the top 60 bits."""
+    shift = max(0, max(abs(re).bit_length(), abs(im).bit_length()) - 60)
+    return math.log(math.hypot(re >> shift, im >> shift)) + (shift - bits) * _LOG2
+
+
 def _pentagonal_sum(w, y, log_abs_s_est: float, digits: int):
     """Partial sum S_N of sum (-1)^n q^(n(3n-1)/2), q = e^(2 pi i w), with
     |Log S - Log S_N| <= 10^-digits; returns (S_N, summands, bound).
@@ -135,38 +152,91 @@ def _pentagonal_sum(w, y, log_abs_s_est: float, digits: int):
     which is <= 2 t/|S_N| once t/|S_N| <= 1/2.  The stopping test runs in
     doubles on logarithms; log_abs_s_est (the float pass) only saves
     computing |S_N| before the test can pass.  y is Im w, possibly capped
-    (a larger y would only shrink the bound).
+    (a larger y would only shrink the bound).  The bound comes from the
+    logarithms of the stopping test: log u = log t - log|S_N| is a sum of
+    three double-precision terms, each within (|term| + 32) 2^-50 of its
+    exact value (log|S_N| from the top 60 bits), and two subtractions, so
+    it is within a quarter of slack = (sum |term| + |log u| + 100) 2^-48.
+    exp(log u + slack), taken as a 64-bit mpf because u leaves the double
+    range, is then at least u, and -log(1 - u) <= u + u^2 for u <= 1/2.
+
+    Rounding budget.  q, q^3, the step q^(3n-2), a = q^e(n), q^n and S_n
+    are Gaussian integers over 2^F, F = prec + guard with prec the bits of
+    the working precision.  Count errors in units eps = 2^-F.  A product of
+    x~ and y~ within alpha and beta of x and y with |x|, |y| <= 1, both
+    parts truncated by >> F (less than one unit each, sqrt 2 together),
+    is within alpha + beta + alpha beta eps + sqrt 2 <= alpha + beta + 2
+    of xy while alpha beta eps <= 2 - sqrt 2, which holds below.  q comes
+    from expjpi at F + 10 bits, within 2^-(F+10) times a few units, and
+    its truncation to F bits leaves it within 2 of q.  Then q^3 is
+    within 10; the step after n multiplications within 12 n - 10; q^n
+    within 4 n - 2; a within sum_{j<=n} (12 j - 8) = 6 n^2 - 2 n;
+    a (1 + q^n) = a + a q^n within 12 n^2; and S_n, summed exactly, within
+    sum_{j<=n} 12 j^2 = 2 n (n+1) (2n+1) = N (N^2 - 1) / 2 < N^3 / 2 for
+    N = 2 n + 1 summands.  guard is 3 times the bit length of twice the
+    summand count the stopping test predicts from log_abs_s_est, so
+    N^3 / 2 < 2^guard and S_N is within 2^-prec of the exact partial sum;
+    an N of 2^(guard/3) or more raises ArithmeticError.  S_N is returned
+    rounded to prec bits, within 2^-prec (1 + |S_N|) in all.  mpmath's mpc
+    sum carried 10^-working relative to each operation instead, so the
+    fixed point is no less accurate: near a cusp, where |S| ~ 1e-113, the
+    cancellation guard in prec still leaves digits + magnitude digits
+    relative to |S|.
     """
     log_absq = -2 * math.pi * float(y)
     log_tail_den = math.log(-math.expm1(log_absq))
-    target = -digits * math.log(10) - math.log(2)
-    s = mpmath.mpc(1)
+    target = -digits * math.log(10) - _LOG2
+    # the stopping test passes once e(n) > 3 n^2 / 2 exceeds this
+    need = (target + log_tail_den + log_abs_s_est) / log_absq
+    predicted = 2 * math.ceil(math.sqrt(max(0.0, 2 * need / 3))) + 1
+    n_bits = (2 * predicted).bit_length()
+    prec = mpmath.mp.prec
+    bits = prec + 3 * n_bits
+    sr, si = 1 << bits, 0
     n = 0
     while True:
         e = (n + 1) * (3 * n + 2) // 2
         log_t = e * log_absq - log_tail_den
         if log_t - log_abs_s_est < target:
-            log_abs_s = float(mpmath.log(abs(s)))
-            if log_t - log_abs_s < target:
+            log_u = log_t - _log_abs_fixed(sr, si, bits)
+            if log_u < target:
                 break
         if n == 0:
-            q = mpmath.expjpi(2 * w)
-            q3 = q**3
-            step = q  # q^(3n-2) = q^(e(n) - e(n-1))
-            qn = mpmath.mpc(1)
-            a = mpmath.mpc(1)  # q^e(n), e(n) = n(3n-1)/2
+            with mpmath.workprec(bits + 10):
+                qr, qi = mpmath.expjpi(2 * w)._mpc_
+            qr, qi = to_fixed(qr, bits), to_fixed(qi, bits)
+            q2r, q2i = (qr * qr - qi * qi) >> bits, (2 * qr * qi) >> bits
+            q3r, q3i = (q2r * qr - q2i * qi) >> bits, (q2r * qi + q2i * qr) >> bits
+            # the step q^(3n-2) = q^(e(n) - e(n-1)), a = q^e(n), e(n) = n(3n-1)/2
+            dr, di = qr, qi
+            ar, ai = qr, qi
+            qnr, qni = qr, qi
         else:
-            step *= q3
+            dr, di = (dr * q3r - di * q3i) >> bits, (dr * q3i + di * q3r) >> bits
+            ar, ai = (ar * dr - ai * di) >> bits, (ar * di + ai * dr) >> bits
+            qnr, qni = (qnr * qr - qni * qi) >> bits, (qnr * qi + qni * qr) >> bits
         n += 1
-        qn *= q
-        a *= step
+        # q^e(-n) = q^(e(n) + n)
+        tr = ar + ((ar * qnr - ai * qni) >> bits)
+        ti = ai + ((ar * qni + ai * qnr) >> bits)
         if n % 2:
-            s -= a * (1 + qn)  # q^e(-n) = q^(e(n) + n)
+            sr, si = sr - tr, si - ti
         else:
-            s += a * (1 + qn)
-    log_absq = -2 * mpmath.pi * y
-    u = mpmath.exp(e * log_absq) / (-mpmath.expm1(log_absq) * abs(s))
-    return s, 2 * n + 1, -mpmath.log1p(-u)
+            sr, si = sr + tr, si + ti
+    if 2 * n + 1 >= 1 << n_bits:
+        raise ArithmeticError(
+            f"{2 * n + 1} pentagonal summands; the fixed point was sized for "
+            f"fewer than {1 << n_bits}"
+        )
+    s = mpmath.mp.make_mpc(
+        (from_man_exp(sr, -bits, prec, "n"), from_man_exp(si, -bits, prec, "n"))
+    )
+    sizes = abs(e * log_absq) + abs(log_tail_den) + abs(log_t - log_u) + abs(log_u)
+    slack = (sizes + 100) * 2.0**-48
+    with mpmath.workprec(64):
+        u = mpmath.exp(log_u + slack)
+        bound = u + u * u
+    return s, 2 * n + 1, bound
 
 
 def _log_eta_eval(z, prec: int, y_min: float = Y_MIN, magnitude: int = 0) -> _LogEta:
@@ -253,20 +323,26 @@ def eta_p_branch_ratio(p: int, z, prec: int = DEFAULT_PRECISION):
 class VerificationReport(NamedTuple):
     """Outcome of one numeric check of a transformation law.
 
-    truncation_terms, tail_bound and working_digits are the largest over
-    the series evaluations of both sides: pentagonal summands, proved
-    bound on the truncation error of a side, and decimal digits carried
-    (GUARD_DIGITS plus the cancellation and magnitude guards on top of
-    precision).
+    lhs_terms and rhs_terms count the pentagonal summands of each side
+    (for the level-p law, the larger of its two series); tail_bound and
+    working_digits are the largest over the series evaluations of both
+    sides: proved bound on the truncation error of a side, and decimal
+    digits carried (GUARD_DIGITS plus the cancellation and magnitude
+    guards on top of precision).
     """
 
     lhs: object
     rhs: object
     residual: object
-    truncation_terms: int
+    lhs_terms: int
+    rhs_terms: int
     precision: int
     tail_bound: object
     working_digits: int
+
+    @property
+    def truncation_terms(self) -> int:
+        return max(self.lhs_terms, self.rhs_terms)
 
     def passed(self, tolerance) -> bool:
         return self.residual < mpmath.mpf(tolerance)
@@ -278,6 +354,9 @@ class VerificationReport(NamedTuple):
             "rhs": _format_complex(self.rhs, digits),
             "residual": _nstr(self.residual, 8),
             "truncation_terms": self.truncation_terms,
+            "lhs_terms": self.lhs_terms,
+            "rhs_terms": self.rhs_terms,
+            "series": "pentagonal",
             "precision": self.precision,
             "tail_bound": _nstr(self.tail_bound, 8),
             "working_digits": self.working_digits,
@@ -312,13 +391,15 @@ def _moebius(a, b, c, d, z):
     return mpmath.mpc(((a * z + b) / w).real, (a * d - b * c) * z.imag / abs(w) ** 2)
 
 
-def _guarded_points(z, a, b, c, d, prec: int):
+def _guarded_points(z, a, b, c, d, prec: int, scale: int):
     """(z, g z, guard) for g = (a, b; c, d), both points carried at
     prec + GUARD_DIGITS + guard digits.
 
-    Both sides of a transformation law are as large as pi |z| / 12 or
-    pi |g z| / 12, so the residual is an absolute 10^-P certificate only
-    if guard = max(0, ceil(log10 max(|z|, |g z|))) more digits are
+    Both sides of a transformation law are as large as pi scale |z| / 12
+    or pi scale |g z| / 12, where scale is p for the level-p law (its
+    sides hold log eta(p z) and log eta(p g z)) and 1 otherwise.  So the
+    residual is an absolute 10^-P certificate only if
+    guard = max(0, ceil(log10(scale max(|z|, |g z|)))) more digits are
     carried (the magnitude guard).
     """
     digits = prec + GUARD_DIGITS
@@ -326,17 +407,17 @@ def _guarded_points(z, a, b, c, d, prec: int):
         w = _upper_half_plane_point(z)
         gw = _moebius(a, b, c, d, w)
     # doubles hold the sizes well enough for a digit count, up to 1e308
-    top = max(abs(complex(w)), abs(complex(gw)))
+    top = scale * max(abs(complex(w)), abs(complex(gw)))
     if top <= 1:
         return w, gw, 0
     if top < math.inf:
         guard = math.ceil(math.log10(top))
     else:
-        guard = math.ceil(float(mpmath.log10(max(abs(w), abs(gw)))))
+        guard = math.ceil(float(mpmath.log10(scale * max(abs(w), abs(gw)))))
     if guard > MAGNITUDE_MAX_DIGITS:
         raise PointTooLargeError(
-            f"|z| or |g z| is about 10^{guard}, beyond 10^{MAGNITUDE_MAX_DIGITS}; "
-            f"the check would carry that many extra digits"
+            f"the sides of the law are about 10^{guard}, beyond "
+            f"10^{MAGNITUDE_MAX_DIGITS}; the check would carry that many extra digits"
         )
     with mpmath.workdps(digits + guard):
         w = mpmath.mpc(z)
@@ -348,7 +429,8 @@ def _report(lhs: _LogEta, rhs, base: _LogEta, prec: int) -> VerificationReport:
         lhs.value,
         rhs,
         abs(lhs.value - rhs),
-        max(lhs.terms, base.terms),
+        lhs.terms,
+        base.terms,
         prec,
         max(lhs.tail_bound, base.tail_bound),
         max(lhs.working_digits, base.working_digits),
@@ -362,7 +444,7 @@ def verify_eta_transform(
     log eta(z) + (1/2) sgn(c)^2 Log((c z + d)/(i sgn c)) + (pi i / 12) Phi(g).
     """
     a, b, c, d = g.entries()
-    z, gz, guard = _guarded_points(z, a, b, c, d, prec)
+    z, gz, guard = _guarded_points(z, a, b, c, d, prec, 1)
     with mpmath.workdps(prec + GUARD_DIGITS + guard):
         lhs = _log_eta_eval(gz, prec, y_min, guard)
         base = _log_eta_eval(z, prec, y_min, guard)
@@ -384,7 +466,7 @@ def verify_theorem1(
     if e.kind == COSET:
         # sqrt(p) e = (p alpha, beta; p gamma, p delta) has the same Moebius action
         a, c, d = p * a, p * c, p * d
-    z, ez, guard = _guarded_points(z, a, b, c, d, prec)
+    z, ez, guard = _guarded_points(z, a, b, c, d, prec, p)
     with mpmath.workdps(prec + GUARD_DIGITS + guard):
         cz_d = c * z + d
         if e.kind == COSET:

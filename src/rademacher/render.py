@@ -29,7 +29,8 @@ def _fmt(x) -> str:
         )
     if d == 0:
         d = abs(d)  # never emit -0.000000000000
-    return str(d)
+    # str() would switch to exponent form below 1e-6
+    return format(d, "f")
 
 
 class RenderOptions:

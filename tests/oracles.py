@@ -19,9 +19,14 @@ eta itself.  It needs one multi-precision Log per term, O(P / Im z) of
 them, which is why the library evaluates Euler's pentagonal series
 instead; the two share no code.
 
-float_log_product is the same product sum in complex128, term by term
-until |q^n| < 2^-60; the library stops at 2^-30 and closes the rest in
-one expression.
+pentagonal_sum_mpc is the library's pentagonal partial sum and stopping
+test with mpc arithmetic at the working precision, where the library
+sums in complex fixed point; it is the reference for the fixed-point
+rounding budget.
+
+float_log_product is the product sum of log_eta_product in complex128,
+term by term until |q^n| < 2^-60; the library stops at 2^-30 and closes
+the rest in one expression.
 """
 
 import cmath
@@ -127,3 +132,38 @@ def float_log_product(x: float, y: float) -> complex:
         qn *= q
         total += cmath.log(1 - qn)
     return total
+
+
+def pentagonal_sum_mpc(w, y, log_abs_s_est: float, digits: int):
+    """(S_N, summands, bound) as eta._pentagonal_sum returns them, summed
+    with mpc arithmetic at the current precision."""
+    log_absq = -2 * math.pi * float(y)
+    log_tail_den = math.log(-math.expm1(log_absq))
+    target = -digits * math.log(10) - math.log(2)
+    s = mpmath.mpc(1)
+    n = 0
+    while True:
+        e = (n + 1) * (3 * n + 2) // 2
+        log_t = e * log_absq - log_tail_den
+        if log_t - log_abs_s_est < target:
+            log_abs_s = float(mpmath.log(abs(s)))
+            if log_t - log_abs_s < target:
+                break
+        if n == 0:
+            q = mpmath.expjpi(2 * w)
+            q3 = q**3
+            step = q  # q^(3n-2) = q^(e(n) - e(n-1))
+            qn = mpmath.mpc(1)
+            a = mpmath.mpc(1)  # q^e(n), e(n) = n(3n-1)/2
+        else:
+            step *= q3
+        n += 1
+        qn *= q
+        a *= step
+        if n % 2:
+            s -= a * (1 + qn)  # q^e(-n) = q^(e(n) + n)
+        else:
+            s += a * (1 + qn)
+    log_absq = -2 * mpmath.pi * y
+    u = mpmath.exp(e * log_absq) / (-mpmath.expm1(log_absq) * abs(s))
+    return s, 2 * n + 1, -mpmath.log1p(-u)

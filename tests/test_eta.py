@@ -4,7 +4,9 @@ import re
 import mpmath
 import pytest
 
-from oracles import float_log_product, log_eta_product
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import float_log_product, log_eta_product, pentagonal_sum_mpc
 from rademacher import eta
 from rademacher.errors import DomainError, ImaginaryPartError, NotUpperHalfPlaneError
 from rademacher.eta import (
@@ -113,6 +115,18 @@ def test_huge_point_certificate_is_absolute():
             assert report.residual < mpmath.mpf(10) ** -prec
 
 
+def test_level_p_magnitude_guard_counts_p():
+    # the sides hold log eta(p z), about pi p z / 12 ~ 6e16 at p = 2^61 - 1:
+    # only carrying its 18 integer digits keeps the residual below 10^-P
+    prec = 50
+    p = 2**61 - 1
+    with mp(prec):
+        z = mpmath.mpc("0.1", "1")
+    report = verify_theorem1(FrickeElement.gamma0(p, T), z, prec=prec)
+    assert report.residual < mpmath.mpf(10) ** -prec
+    assert report.working_digits >= prec + GUARD_DIGITS + 18
+
+
 def test_mapped_point_near_axis_is_too_small_not_off_plane():
     # Im(g z) = Im z / |c z + d|^2 is formed directly, so it stays positive
     with mp(50):
@@ -188,6 +202,61 @@ def test_product_oracle_on_criterion_8_panel():
         ref = log_eta_product(z, prec)
         with mp(2 * prec):
             assert abs(value - ref) < mpmath.mpf(10) ** -prec, z
+
+
+def _assert_sums_agree(monkeypatch, z, prec):
+    # the fixed-point sum log_eta(z) runs is within its rounding budget,
+    # 2^-prec at its working precision plus rounding the result to prec
+    # bits, of the mpc loop run 64 bits finer
+    calls = []
+    fixed = eta._pentagonal_sum
+
+    def spy(*args):
+        out = fixed(*args)
+        calls.append((args, out, mpmath.mp.prec))
+        return out
+
+    monkeypatch.setattr(eta, "_pentagonal_sum", spy)
+    log_eta(z, prec=prec)
+    monkeypatch.undo()
+    [(args, (s, terms, bound), bits)] = calls
+    with mpmath.workprec(bits + 64):
+        s_ref, terms_ref, bound_ref = pentagonal_sum_mpc(*args)
+        assert terms == terms_ref, z
+        assert abs(s - s_ref) <= mpmath.ldexp(1 + abs(s), -bits), z
+        # the tail bound from the doubles of the stopping test is rounded
+        # up, never below the one computed at working precision
+        assert bound_ref <= bound <= bound_ref * (1 + mpmath.ldexp(1, -20)), z
+
+
+def test_fixed_point_sum_matches_mpc_loop(monkeypatch):
+    prec = 100
+    points = [(z, prec) for z in _panel_points(prec)]
+    assert len(points) == 60
+    with mp(200):
+        points += [(mpmath.mpc(0, y), p) for y in ("0.001", "0.0015") for p in (100, 200)]
+        points += [(mpmath.mpc("0.1", "1e400"), 50), (mpmath.mpc("0.3", "1e6"), 50)]
+    for z, p in points:
+        _assert_sums_agree(monkeypatch, z, p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    x=st.floats(0, 1, exclude_max=True),
+    y=st.floats(eta.Y_MIN, 2),
+    prec=st.integers(30, 200),
+)
+def test_fixed_point_sum_matches_mpc_loop_property(x, y, prec):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_sums_agree(monkeypatch, mpmath.mpc(x, y), prec)
+
+
+def test_rounding_budget_is_checked():
+    # a float estimate of |S| far too large predicts too few summands; the
+    # sum runs on to its true stopping point and refuses its own result
+    with mpmath.workdps(60):
+        with pytest.raises(ArithmeticError, match="fixed point was sized"):
+            eta._pentagonal_sum(mpmath.mpc("0.3", "0.01"), 0.01, 1000.0, 60)
 
 
 def test_float_pass_matches_full_loop():
@@ -298,9 +367,12 @@ def test_precision_scaling_no_plateau():
 def test_report_dict_shape():
     report = verify_eta_transform(T, mpmath.mpc(0, 1), prec=50)
     d = report.to_dict(tolerance="1e-40")
-    assert set(d) == {"lhs", "rhs", "residual", "truncation_terms", "precision",
-                      "tail_bound", "working_digits", "tolerance", "pass"}
+    assert set(d) == {"lhs", "rhs", "residual", "truncation_terms", "lhs_terms",
+                      "rhs_terms", "series", "precision", "tail_bound",
+                      "working_digits", "tolerance", "pass"}
     assert d["pass"] is True and d["precision"] == 50
+    assert d["series"] == "pentagonal"
+    assert d["truncation_terms"] == max(d["lhs_terms"], d["rhs_terms"]) > 0
     assert mpmath.mpf(d["tail_bound"]) < mpmath.mpf(10) ** -60
     assert d["working_digits"] >= 50 + GUARD_DIGITS
     assert "," in d["lhs"] and "," in d["rhs"]

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from rademacher.errors import ParseError
-from rademacher.render import RenderOptions, render_svg
+from rademacher.render import RenderOptions, _fmt, render_svg
 
 GOLDEN = Path(__file__).parent / "golden" / "figure_path.svg"
 
@@ -57,6 +57,26 @@ def test_all_ascii_and_fixed_places():
     # every coordinate carries exactly 12 decimal places
     for token in ("x1=", "y1=", "x2=", "y2="):
         for chunk in _attr_values(data.decode("ascii"), token):
+            whole, _, frac = chunk.partition(".")
+            assert frac == "" or len(frac) == 12, chunk
+
+
+@pytest.mark.parametrize("x, text", [
+    (Fraction(1, 10**7), "0.000000100000"),
+    (Fraction(-1, 10**7), "-0.000000100000"),
+    (Fraction(-1, 10**13), "0.000000000000"),
+])
+def test_fmt_tiny_values_stay_fixed_point(x, text):
+    assert _fmt(x) == text
+
+
+def test_tiny_x_min_keeps_fixed_places():
+    # a vertex at the left edge used to print as 0E-12
+    opts = RenderOptions(x_min=Fraction(-1, 10**4300), label_vertices=False)
+    svg = render_svg((2,), opts).decode("ascii")
+    for token in ("x1=", "y1=", "x2=", "y2="):
+        for chunk in _attr_values(svg, token):
+            assert "E" not in chunk and "e" not in chunk, chunk
             whole, _, frac = chunk.partition(".")
             assert frac == "" or len(frac) == 12, chunk
 
