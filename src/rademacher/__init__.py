@@ -19,6 +19,7 @@ from .errors import (
     PointTooLargeError,
     PrimeMismatchError,
     PrimeTooLargeError,
+    WordTooLongError,
     WrongBaseEdgeError,
 )
 from .fricke import conjugate_by_p, k_of_p, phi_p, phi_p_geometric, random_gamma0
@@ -78,6 +79,7 @@ __all__ = [
     "T",
     "UnimodularMatrix",
     "VerificationReport",
+    "WordTooLongError",
     "WrongBaseEdgeError",
     "ZERO",
     "conjugate_by_p",

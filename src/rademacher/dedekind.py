@@ -55,21 +55,21 @@ def dedekind_sum(h: int, k: int) -> Fraction:
 
 
 def rademacher_phi(g: UnimodularMatrix) -> int:
-    """Rademacher symbol Phi(g), an exact integer.
+    """Rademacher symbol Phi(g), an exact integer."""
+    return _phi(g.a, g.b, g.c, g.d)
 
-    The rational expression is evaluated exactly and its denominator is
-    asserted to be 1; a failure here would be an arithmetic bug, not an
-    input error.
-    """
-    a, b, c, d = g.entries()
+
+def _phi(a: int, b: int, c: int, d: int) -> int:
+    """Phi of the quadruple (a, b; c, d), whose determinant is taken as 1.
+    The exact rational value must have denominator 1; any other would be an
+    arithmetic bug, raised as ArithmeticError, not an input error."""
     if c == 0:
         # ad = 1 forces a = d = +-1, so b/d is the integer b*d
         return b * d
     k = abs(c)
     num, den = _descent(d % k, k)
-    sc = sgn(c)
-    t = (a + d) * den - 12 * sc * num * c
+    t = (a + d) * den - 12 * sgn(c) * num * c
     q, r = divmod(t, c * den)
     if r:
-        raise ArithmeticError(f"Phi of {g} produced a non-integer; this is a bug")
+        raise ArithmeticError(f"Phi of ({a}, {b}; {c}, {d}) produced a non-integer; this is a bug")
     return q

@@ -12,7 +12,9 @@ gamma~ = (gamma, delta; -p alpha, -beta) in Gamma0(p), and
 
 phi_p_geometric reaches the same numbers through edge words and the
 trace/signature formula; the agreement of the two routes is an acceptance
-check, so neither implementation may call the other.
+check, so neither implementation may call the other (they share only the
+coset split and the conjugation, which the cocycle law test covers).  Both
+read the quadruple its constructor checked and sum 2 Phi_p as an int.
 """
 
 from __future__ import annotations
@@ -20,19 +22,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .dedekind import rademacher_phi
+from .dedekind import _phi
 from .errors import CosetBodyError, NotOddPrimeError
-from .inertia import tridiag_signature, tridiag_trace
-from .matrices import (
-    COSET,
-    GAMMA0,
-    FrickeElement,
-    UnimodularMatrix,
-    is_odd_prime,
-    sgn,
-    t_power,
-)
-from .words import decompose
+from .inertia import km_phi
+from .matrices import GAMMA0, FrickeElement, UnimodularMatrix, is_odd_prime, sgn, t_power
+from .words import _descend
 
 
 def k_of_p(p: int) -> int:
@@ -49,22 +43,26 @@ def conjugate_by_p(e: FrickeElement) -> UnimodularMatrix:
     """(a, b; c, d) -> (a, p b; c/p, d), defined on the Gamma0 part only."""
     if e.kind != GAMMA0:
         raise CosetBodyError("conjugation by diag(sqrt p, 1/sqrt p) needs a Gamma0 element")
-    a, b, c, d = e.q
-    return UnimodularMatrix(a, e.p * b, c // e.p, d)
+    return UnimodularMatrix(*_conjugate(e.p, e.q))
 
 
-def _coset_reduction(e: FrickeElement) -> tuple[FrickeElement, int]:
-    """Write a coset element as W_p * gamma~ and return (gamma~, correction).
+def _conjugate(p: int, q: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+    a, b, c, d = q
+    return a, p * b, c // p, d
 
-    The real entries are (a, b, c, d) = (sqrt p alpha, beta/sqrt p,
-    sqrt p gamma, sqrt p delta); W_p^{-1} times the element is the integer
-    matrix (gamma, delta; -p alpha, -beta) in Gamma0(p), and the correction
-    term is -3 sgn(-a c) = -3 sgn(-alpha gamma).
+
+def _gamma0_part(e: FrickeElement) -> tuple[int, tuple[int, int, int, int], int]:
+    """(p, Gamma0 quadruple, twice the coset correction).
+
+    A coset element has real entries (sqrt p alpha, beta/sqrt p, sqrt p
+    gamma, sqrt p delta); W_p^{-1} times it is (gamma, delta; -p alpha,
+    -beta), in Gamma0(p) as its constructor checked p alpha delta - beta
+    gamma = 1.  The correction is -3 sgn(-a c) = 3 sgn(alpha gamma).
     """
+    if e.kind == GAMMA0:
+        return e.p, e.q, 0
     al, be, ga, de = e.q
-    # the constructor checks det 1 and p | c itself
-    reduced = FrickeElement(e.p, GAMMA0, (ga, de, -e.p * al, -be))
-    return reduced, -3 * sgn(-al * ga)
+    return e.p, (ga, de, -e.p * al, -be), 6 * sgn(al * ga)
 
 
 def phi_p(e: FrickeElement) -> Fraction:
@@ -73,31 +71,23 @@ def phi_p(e: FrickeElement) -> Fraction:
     Whether the value itself is always an integer is left open on purpose:
     the tests record the observed parity without relying on it.
     """
-    if e.kind == COSET:
-        reduced, corr = _coset_reduction(e)
-        return phi_p(reduced) + corr
-    m = e.matrix
-    # an integer over 2 reduces to denominator 1 or 2, so 2 * Phi_p is in Z
-    return Fraction(rademacher_phi(m) + rademacher_phi(conjugate_by_p(e)), 2)
+    p, q, twice = _gamma0_part(e)
+    return Fraction(twice + _phi(*q) + _phi(*_conjugate(p, q)), 2)
 
 
 def phi_p_geometric(e: FrickeElement) -> Fraction:
     """Phi_p through edge words: average of trace - 3 signature over the
     word of the element and the word of its conjugate."""
-    if e.kind == COSET:
-        reduced, corr = _coset_reduction(e)
-        return phi_p_geometric(reduced) + corr
-    w1 = decompose(e.matrix)
-    w2 = decompose(conjugate_by_p(e))
-    tau = tridiag_trace(w1) + tridiag_trace(w2)
-    sigma = tridiag_signature(w1) + tridiag_signature(w2)
-    return Fraction(tau - 3 * sigma, 2)
+    p, q, twice = _gamma0_part(e)
+    return Fraction(twice + km_phi(_descend(*q)) + km_phi(_descend(*_conjugate(p, q))), 2)
 
 
 def random_gamma0(p: int, rng: random.Random, steps: int = 4, entry_cap: int = 10**6) -> FrickeElement:
     """Pseudo-random element of Gamma0(p): an alternating product of T^j
     and (1, 0; p, 1)^m.  Entries are capped by rejection so downstream
     numeric tests keep usable imaginary parts."""
+    if entry_cap < p:  # every nonzero c is a multiple of p: only T^j would pass
+        raise ValueError(f"entry_cap = {entry_cap} is below p = {p}")
     while True:
         m = UnimodularMatrix(1, 0, 0, 1)
         for _ in range(rng.randint(1, steps)):

@@ -16,10 +16,12 @@ from __future__ import annotations
 
 from math import gcd
 
-from .errors import NotAnEdgeError, ParseError, WrongBaseEdgeError
+from .errors import NotAnEdgeError, ParseError, WordTooLongError, WrongBaseEdgeError
 from .matrices import S, UnimodularMatrix, _Value
 
 EdgeWord = tuple[int, ...]
+
+MAX_WORD_LETTERS = 10**6  # longest descent decompose runs before refusing
 
 
 class Farey(_Value):
@@ -77,12 +79,20 @@ def reconstruct(word) -> UnimodularMatrix:
 
 
 def decompose(g: UnimodularMatrix) -> EdgeWord:
-    """A word w with reconstruct(w) = +-g.
+    """A word w with reconstruct(w) = +-g.  Words are not unique; only PSL
+    equality of the reconstruction is promised, plus no interior zeros.
+    WordTooLongError past MAX_WORD_LETTERS letters."""
+    return tuple(_descend(g.a, g.b, g.c, g.d))
+
+
+def _descend(a: int, b: int, c: int, d: int) -> list[int]:
+    """The word of (a, b; c, d) as a list.
 
     Peel C = S^{-1} g from the left by the Euclidean algorithm on the left
     column (floor quotients); a residual T^m is closed with
-    T^m = (T^m S)(T^0 S).  Words are not unique; only PSL equality of the
-    reconstruction is promised, plus freedom from interior zeros.
+    T^m = (T^m S)(T^0 S).  Length grows linearly in the entries
+    (S (T^-2 S)^n = (n, n-1; n+1, n) takes n letters), so more than
+    MAX_WORD_LETTERS quotients raise WordTooLongError.
 
     No interior zero can occur.  A step (a, c) -> (c, n c - a) with
     n = floor(a / c) leaves c' = -(a mod c): opposite in sign to c and
@@ -90,18 +100,21 @@ def decompose(g: UnimodularMatrix) -> EdgeWord:
     floor(c / c') <= -2, and the only zero letter besides a leading
     quotient is the last one of the closing [m, 0].
     """
-    a, b, c, d = g.entries()
     a, b, c, d = c, d, -a, -b  # S^{-1} g
     word: list[int] = []
-    while c != 0:
+    for _ in range(MAX_WORD_LETTERS):
+        if c == 0:
+            break
         n = a // c
         word.append(n)
         a, b, c, d = c, d, n * c - a, n * d - b
+    if c != 0:
+        raise WordTooLongError(f"the edge word needs more than {MAX_WORD_LETTERS} letters")
     # upper triangular now: (e, f; 0, e) with e = +-1 is T^{e f} up to sign
     m = a * b
     if m != 0:
         word += [m, 0]
-    return tuple(word)
+    return word
 
 
 def endpoints_signed(word) -> list[tuple[int, int]]:

@@ -45,6 +45,14 @@ def test_decompose_example(capsys):
     assert code == 0 and payload == {"word": [], "endpoints": ["1/0", "0/1"]}
 
 
+def test_decompose_word_too_long(capsys):
+    n = 10**13
+    code = run(["decompose", f"--matrix={n},{n - 1},{n + 1},{n}"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1 and len(lines) == 1
+    assert json.loads(lines[0])["error"]["code"] == "word_too_long"
+
+
 def test_endpoints_word_equals_form(capsys):
     code, payload = run_json(capsys, ["endpoints", "--word=-2,1,-2"])
     assert code == 0

@@ -55,7 +55,9 @@ FLAGS = {
         # in SL2(Z); the first four in Gamma0(p) for p = 3, 5, 7 and 2^61 - 1
         st.sampled_from(("1,0,105,1", "1,1,105,106", f"1,0,{105 * M61},1", "-1,0,0,-1",
                          "3,1,8,3", "0,-1,1,0", "2,1,1,1"))
-        | st.builds("1,{},0,1".format, junk),
+        | st.builds("1,{},0,1".format, junk)
+        # S (T^-2 S)^n: an edge word of n letters, past the cap at n = 10^13
+        | st.sampled_from((2, -3, 1000, 10**13)).map(lambda n: f"{n},{n - 1},{n + 1},{n}"),
         _joined(junk, (0, 5)),
     ),
     "--p": (st.sampled_from(("3", "5", "7", str(M61), str(2**89 - 1), "3215031751")), junk),

@@ -1,9 +1,12 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from rademacher.errors import CosetBodyError, NotOddPrimeError
+from rademacher import dedekind, inertia, words
+from rademacher.dedekind import rademacher_phi
+from rademacher.errors import CosetBodyError, NotOddPrimeError, WordTooLongError
 from rademacher.fricke import (
     conjugate_by_p,
     k_of_p,
@@ -18,9 +21,11 @@ from rademacher.matrices import (
     FrickeElement,
     UnimodularMatrix,
     fricke_involution,
+    sgn,
 )
 
 PRIMES = (3, 5, 7, 11, 13)
+M61 = 2**61 - 1
 
 
 def test_k_of_p_frozen():
@@ -85,7 +90,7 @@ def test_phi_p_psl_invariant(rng):
 
 
 def test_phi_p_half_integral(rng):
-    for p in PRIMES:
+    for p in PRIMES + (10007,):
         for _ in range(50):
             e = random_gamma0(p, rng)
             v = phi_p(e)
@@ -93,13 +98,49 @@ def test_phi_p_half_integral(rng):
 
 
 def test_routes_agree_random(rng):
-    for p in PRIMES:
+    # at p = 10007 the conjugated words run to tens of thousands of letters
+    for p in PRIMES + (10007,):
         wp = fricke_involution(p)
         for _ in range(60):
             e = random_gamma0(p, rng)
             assert phi_p_geometric(e) == phi_p(e)
             c = wp * e
             assert phi_p_geometric(c) == phi_p(c)
+
+
+def _with_fricke(e, rng):
+    """e, W_p e, e W_p or W_p e W_p, at random."""
+    wp = fricke_involution(e.p)
+    if rng.random() < 0.5:
+        e = wp * e
+    if rng.random() < 0.5:
+        e = e * wp
+    return e
+
+
+def test_phi_p_cocycle_law():
+    # phi_p(AB) = phi_p(A) + phi_p(B) - 3 sgn(c_A c_B c_AB) on Gamma0+(p);
+    # the real lower-left entry has the sign of q[2] on both cosets
+    rng = random.Random(606)
+    for p in PRIMES + (10007,):
+        for _ in range(1000):
+            a = _with_fricke(random_gamma0(p, rng), rng)
+            b = _with_fricke(random_gamma0(p, rng), rng)
+            ab = a * b
+            expected = phi_p(a) + phi_p(b) - 3 * sgn(a.q[2] * b.q[2] * ab.q[2])
+            assert phi_p(ab) == expected, (a, b)
+
+
+def test_phi_p_at_a_large_prime():
+    rng = random.Random(61)
+    wp = fricke_involution(M61)
+    for _ in range(20):
+        e = random_gamma0(M61, rng, steps=2, entry_cap=M61**3)
+        expected = Fraction(rademacher_phi(e.matrix) + rademacher_phi(conjugate_by_p(e)), 2)
+        assert phi_p(e) == expected
+        c = wp * e
+        # the cocycle law with phi_p(W_p) = 0
+        assert phi_p(c) == expected - 3 * sgn(e.q[2] * c.q[2])
 
 
 def test_random_gamma0_shape(rng):
@@ -114,3 +155,64 @@ def test_random_gamma0_entry_cap():
     for _ in range(40):
         e = random_gamma0(13, rng, steps=2, entry_cap=60)
         assert max(abs(x) for x in e.q) <= 60
+
+
+def test_random_gamma0_refuses_cap_below_p():
+    # below p the rejection could keep only powers of T
+    rng = random.Random(7)
+    with pytest.raises(ValueError):
+        random_gamma0(10007, rng, entry_cap=1000)
+    with pytest.raises(ValueError):
+        random_gamma0(M61, rng)
+    e = random_gamma0(13, rng, steps=1, entry_cap=13)
+    assert max(abs(x) for x in e.q) <= 13
+
+
+def _refuse_calls(monkeypatch, *functions):
+    """Make every rademacher binding of each function raise."""
+
+    def refused(*args, **kwargs):
+        raise AssertionError("this route may not be reached")
+
+    for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "rademacher"]:
+        for name, value in list(vars(module).items()):
+            if any(value is f for f in functions):
+                monkeypatch.setattr(module, name, refused)
+
+
+def _route_panel():
+    rng = random.Random(17)
+    panel = []
+    for p in PRIMES:
+        wp = fricke_involution(p)
+        for _ in range(20):
+            e = random_gamma0(p, rng)
+            panel += [e, wp * e]
+    return panel
+
+
+def test_routes_are_independent(monkeypatch):
+    panel = _route_panel()
+    expected = [phi_p(e) for e in panel]
+    assert sum(e.q[2] != 0 for e in panel) > len(panel) // 2
+
+    with monkeypatch.context() as patch:
+        _refuse_calls(patch, dedekind._descent, dedekind._phi, dedekind.rademacher_phi,
+                      dedekind.dedekind_sum)
+        assert [phi_p_geometric(e) for e in panel] == expected
+
+    with monkeypatch.context() as patch:
+        _refuse_calls(patch, words._descend, words.decompose, inertia.km_phi,
+                      inertia.inertia_minors, inertia.tridiag_signature, inertia.tridiag_trace)
+        assert [phi_p(e) for e in panel] == expected
+
+
+def test_phi_p_geometric_inherits_word_cap(monkeypatch):
+    # S (T^-2 S)^9 = (9, 8; 10, 9): a word of nine letters
+    e = FrickeElement.gamma0(5, UnimodularMatrix(9, 8, 10, 9))
+    expected = phi_p(e)
+    assert phi_p_geometric(e) == expected
+    monkeypatch.setattr(words, "MAX_WORD_LETTERS", 5)
+    with pytest.raises(WordTooLongError):
+        phi_p_geometric(e)
+    assert phi_p(e) == expected

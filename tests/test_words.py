@@ -3,7 +3,8 @@ from conftest import random_matrix, round_trip_matrices, word_matrix_roundtrip
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rademacher.errors import NotAnEdgeError, ParseError, WrongBaseEdgeError
+from rademacher import words
+from rademacher.errors import NotAnEdgeError, ParseError, WordTooLongError, WrongBaseEdgeError
 from rademacher.matrices import I2, S, T, UnimodularMatrix, psl_eq, t_power
 from rademacher.words import (
     INFINITY,
@@ -53,6 +54,26 @@ def test_reconstruct_frozen():
     assert reconstruct(()) == S
     assert reconstruct((-2, 1, -2)) == UnimodularMatrix(3, 1, 8, 3)
     assert psl_eq(reconstruct((-1, -1)), T)
+
+
+def _parabolic(n):
+    # S (T^-2 S)^n: the descent emits n quotients -2
+    return UnimodularMatrix(n, n - 1, n + 1, n)
+
+
+def test_decompose_word_cap(monkeypatch):
+    assert decompose(_parabolic(5)) == (-2,) * 5
+    monkeypatch.setattr(words, "MAX_WORD_LETTERS", 5)
+    assert decompose(_parabolic(5)) == (-2,) * 5
+    with pytest.raises(WordTooLongError):
+        decompose(_parabolic(6))
+
+
+def test_decompose_refuses_huge_words():
+    # 13-digit entries: a word of 10^13 letters, refused after 10^6 steps
+    with pytest.raises(WordTooLongError) as info:
+        decompose(_parabolic(10**13))
+    assert info.value.code == "word_too_long"
 
 
 def test_decompose_frozen():
