@@ -208,31 +208,19 @@ def _check_tolerance(text: str) -> None:
         raise ParseError(f"tolerance must be a number, got {text!r}")
 
 
-def _verify_common(report, args):
-    payload = report.to_dict(tolerance=args.tolerance)
-    plain = [f"residual {payload['residual']}", f"pass {str(payload['pass']).lower()}"]
-    code = 0 if payload["pass"] else 1
-    return payload, plain, code
-
-
-def _run_verify_eta(args):
+def _run_verify(args):
     from . import eta
 
     _check_tolerance(args.tolerance)
     prec = args.precision if args.precision is not None else _default_precision()
-    g = parse_matrix(args.matrix)
+    if args.command == "verify-eta":
+        g, verify = parse_matrix(args.matrix), eta.verify_eta_transform
+    else:
+        g, verify = _fricke_arg(args), eta.verify_theorem1
+    eta.check_precision(prec)
     z = _parse_z(args.z, prec)
-    return _verify_common(eta.verify_eta_transform(g, z, prec=prec), args)
-
-
-def _run_verify_theorem1(args):
-    from . import eta
-
-    _check_tolerance(args.tolerance)
-    prec = args.precision if args.precision is not None else _default_precision()
-    element = _fricke_arg(args)
-    z = _parse_z(args.z, prec)
-    return _verify_common(eta.verify_theorem1(element, z, prec=prec), args)
+    payload = verify(g, z, prec=prec).to_dict(tolerance=args.tolerance)
+    return payload, [f"residual {payload['residual']}", f"pass {str(payload['pass']).lower()}"]
 
 
 def _run_render(args):
@@ -261,8 +249,8 @@ _HANDLERS = {
     "decompose": _run_decompose,
     "endpoints": _run_endpoints,
     "km": _run_km,
-    "verify-eta": _run_verify_eta,
-    "verify-theorem1": _run_verify_theorem1,
+    "verify-eta": _run_verify,
+    "verify-theorem1": _run_verify,
     "render": _run_render,
 }
 
@@ -287,19 +275,15 @@ def run(argv=None) -> int:
         print(json.dumps({"error": {"code": "internal", "message": message}}))
         return 1
 
-    if len(result) == 3:
-        payload, plain, status = result
-    else:
-        payload, plain = result
-        status = 0
+    payload, plain = result
     if payload is None:
-        return status
+        return 0
     if args.plain:
         for line in plain:
             print(line)
     else:
         print(json.dumps(payload))
-    return status
+    return 0 if payload.get("pass", True) else 1
 
 
 def main() -> None:

@@ -61,12 +61,18 @@ under which the transformation law holds pointwise with the symbol Phi_p.
 eta_p_branch_ratio measures how this branch relates to the principal
 2k-th root of Delta_p = eta^k(z) eta^k(p z): the ratio is a 2k-th root of
 unity, not always 1.
+
+The level-p law is the classical one with log eta_p, Phi_p, and on the
+W_p coset the integer matrix sqrt(p) e of determinant p, so both verify
+functions are one call to _verify.  P outside [MIN_PRECISION,
+MAX_PRECISION] is refused before any arithmetic at that precision.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from functools import partial
 from typing import NamedTuple
 
 import mpmath
@@ -75,9 +81,11 @@ from mpmath.libmp import from_man_exp, to_fixed
 from .dedekind import rademacher_phi
 from .errors import DomainError, ImaginaryPartError, NotUpperHalfPlaneError, PointTooLargeError
 from .fricke import k_of_p, phi_p
-from .matrices import COSET, FrickeElement, UnimodularMatrix, sgn
+from .matrices import FrickeElement, UnimodularMatrix, sgn
 
 DEFAULT_PRECISION = 50
+MIN_PRECISION = 30
+MAX_PRECISION = 10_000
 GUARD_DIGITS = 10
 Y_MIN = 1e-3
 # the verify functions refuse |z| or |g z| beyond 10^MAGNITUDE_MAX_DIGITS:
@@ -96,6 +104,14 @@ class _LogEta(NamedTuple):
     terms: int
     tail_bound: object
     working_digits: int
+
+
+def check_precision(prec: int) -> None:
+    """DomainError unless MIN_PRECISION <= prec <= MAX_PRECISION."""
+    if prec < MIN_PRECISION:
+        raise DomainError(f"precision {prec} below the {MIN_PRECISION} digit floor")
+    if prec > MAX_PRECISION:
+        raise DomainError(f"precision {prec} above the {MAX_PRECISION} digit ceiling")
 
 
 def _nstr(x, n: int) -> str:
@@ -239,21 +255,20 @@ def _pentagonal_sum(w, y, log_abs_s_est: float, digits: int):
     return s, 2 * n + 1, bound
 
 
-def _log_eta_eval(z, prec: int, y_min: float = Y_MIN, magnitude: int = 0) -> _LogEta:
+def _log_eta_eval(z, prec: int, magnitude: int = 0) -> _LogEta:
     """log eta(z) to 10^-prec with its truncation data; see the module
     docstring for the three stages.  magnitude digits are carried on top
     of the guard digits throughout (see _guarded_points)."""
-    if prec < 30:
-        raise DomainError(f"precision {prec} below the 30 digit floor")
+    check_precision(prec)
     digits = prec + GUARD_DIGITS
     with mpmath.workdps(digits + magnitude):
         z = _upper_half_plane_point(z)
         y = z.imag
-        if float(y) < y_min:
+        if float(y) < Y_MIN:
             est = _pentagonal_terms(y, digits)
             shown = str(int(est)) if est < 1e15 else _nstr(est, 3)
             raise ImaginaryPartError(
-                f"Im(z) = {_nstr(y, 8)} below threshold {y_min}; the "
+                f"Im(z) = {_nstr(y, 8)} below threshold {Y_MIN}; the "
                 f"pentagonal series would need about {shown} terms"
             )
         # q has period 1 in Re z, so a huge Re z costs nothing below
@@ -276,23 +291,15 @@ def _log_eta_eval(z, prec: int, y_min: float = Y_MIN, magnitude: int = 0) -> _Lo
     return _LogEta(value, terms, tail, working)
 
 
-def _log_eta_info(z, prec: int, y_min: float = Y_MIN):
-    """(value, terms, tail_bound): log eta(z), the number of pentagonal
-    summands, and the proved bound on the truncation error of the value."""
-    value, terms, tail, _ = _log_eta_eval(z, prec, y_min)
-    return value, terms, tail
+def log_eta(z, prec: int = DEFAULT_PRECISION):
+    """Principal-series logarithm of eta(z) for Im(z) >= Y_MIN."""
+    return _log_eta_eval(z, prec).value
 
 
-def log_eta(z, prec: int = DEFAULT_PRECISION, y_min: float = Y_MIN):
-    """Principal-series logarithm of eta(z) for Im(z) >= y_min."""
-    value, _, _ = _log_eta_info(z, prec, y_min)
-    return value
-
-
-def _log_eta_p_eval(p: int, z, prec: int, y_min: float = Y_MIN, magnitude: int = 0) -> _LogEta:
+def _log_eta_p_eval(p: int, z, prec: int, magnitude: int = 0) -> _LogEta:
     with mpmath.workdps(prec + GUARD_DIGITS + magnitude):
-        one = _log_eta_eval(z, prec, y_min, magnitude)
-        other = _log_eta_eval(p * mpmath.mpc(z), prec, y_min, magnitude)
+        one = _log_eta_eval(z, prec, magnitude)
+        other = _log_eta_eval(p * mpmath.mpc(z), prec, magnitude)
         return _LogEta(
             (one.value + other.value) / 2,
             max(one.terms, other.terms),
@@ -301,9 +308,9 @@ def _log_eta_p_eval(p: int, z, prec: int, y_min: float = Y_MIN, magnitude: int =
         )
 
 
-def log_eta_p(p: int, z, prec: int = DEFAULT_PRECISION, y_min: float = Y_MIN):
+def log_eta_p(p: int, z, prec: int = DEFAULT_PRECISION):
     """Additive-branch log eta_p(z) = (log eta(z) + log eta(p z)) / 2."""
-    return _log_eta_p_eval(p, z, prec, y_min).value
+    return _log_eta_p_eval(p, z, prec).value
 
 
 def eta_p_branch_ratio(p: int, z, prec: int = DEFAULT_PRECISION):
@@ -374,13 +381,6 @@ def _format_complex(v, digits: int) -> str:
         return f"{mpmath.nstr(v.real, digits)},{mpmath.nstr(v.imag, digits)}"
 
 
-def _branch_term(cz_d, c_sign: int):
-    # (1/2) Log((c z + d) / (i sgn c)); the division rotates the upper or
-    # lower half plane onto the right half plane, keeping the principal
-    # branch away from its cut.
-    return mpmath.log(cz_d / (1j * c_sign)) / 2
-
-
 def _moebius(a, b, c, d, z):
     """(a z + b) / (c z + d) for a real matrix of positive determinant.
 
@@ -424,57 +424,46 @@ def _guarded_points(z, a, b, c, d, prec: int, scale: int):
         return w, _moebius(a, b, c, d, w), guard
 
 
-def _report(lhs: _LogEta, rhs, base: _LogEta, prec: int) -> VerificationReport:
-    return VerificationReport(
-        lhs.value,
-        rhs,
-        abs(lhs.value - rhs),
-        lhs.terms,
-        base.terms,
-        prec,
-        max(lhs.tail_bound, base.tail_bound),
-        max(lhs.working_digits, base.working_digits),
-    )
+def _verify(evaluate, m, det: int, scale: int, phi, z, prec: int) -> VerificationReport:
+    """Check evaluate(g z) against evaluate(z) + (pi i / 12) phi
+    + (1/2) sgn(c)^2 Log((c z + d)/(i sgn c sqrt det)) for the integer
+    matrix m = (a, b; c, d) of determinant det; scale as in _guarded_points."""
+    check_precision(prec)
+    a, b, c, d = m
+    z, gz, guard = _guarded_points(z, a, b, c, d, prec, scale)
+    with mpmath.workdps(prec + GUARD_DIGITS + guard):
+        lhs = evaluate(gz, prec, guard)
+        base = evaluate(z, prec, guard)
+        rhs = base.value + mpmath.pi * 1j * phi.numerator / (12 * phi.denominator)
+        if c != 0:
+            # dividing by i sgn c rotates the upper or lower half plane onto the
+            # right half plane, keeping the principal Log away from its cut
+            rhs += mpmath.log((c * z + d) / mpmath.sqrt(det) / (1j * sgn(c))) / 2
+        return VerificationReport(
+            lhs.value,
+            rhs,
+            abs(lhs.value - rhs),
+            lhs.terms,
+            base.terms,
+            prec,
+            max(lhs.tail_bound, base.tail_bound),
+            max(lhs.working_digits, base.working_digits),
+        )
 
 
 def verify_eta_transform(
-    g: UnimodularMatrix, z, prec: int = DEFAULT_PRECISION, y_min: float = Y_MIN
+    g: UnimodularMatrix, z, prec: int = DEFAULT_PRECISION
 ) -> VerificationReport:
     """Check log eta(g z) against
     log eta(z) + (1/2) sgn(c)^2 Log((c z + d)/(i sgn c)) + (pi i / 12) Phi(g).
     """
-    a, b, c, d = g.entries()
-    z, gz, guard = _guarded_points(z, a, b, c, d, prec, 1)
-    with mpmath.workdps(prec + GUARD_DIGITS + guard):
-        lhs = _log_eta_eval(gz, prec, y_min, guard)
-        base = _log_eta_eval(z, prec, y_min, guard)
-        rhs = base.value + mpmath.pi * 1j * rademacher_phi(g) / 12
-        if c != 0:
-            rhs += _branch_term(c * z + d, sgn(c))
-        return _report(lhs, rhs, base, prec)
+    return _verify(_log_eta_eval, g.entries(), 1, 1, rademacher_phi(g), z, prec)
 
 
 def verify_theorem1(
-    e: FrickeElement, z, prec: int = DEFAULT_PRECISION, y_min: float = Y_MIN
+    e: FrickeElement, z, prec: int = DEFAULT_PRECISION
 ) -> VerificationReport:
     """Check the level-p law log eta_p(e z) =
     log eta_p(z) + (1/2) sgn(c)^2 Log((c z + d)/(i sgn c)) + (pi i / 12) Phi_p(e),
     with (a, b, c, d) the real entries of e (sqrt p enters only here)."""
-    p = e.p
-    value = phi_p(e)
-    a, b, c, d = e.q
-    if e.kind == COSET:
-        # sqrt(p) e = (p alpha, beta; p gamma, p delta) has the same Moebius action
-        a, c, d = p * a, p * c, p * d
-    z, ez, guard = _guarded_points(z, a, b, c, d, prec, p)
-    with mpmath.workdps(prec + GUARD_DIGITS + guard):
-        cz_d = c * z + d
-        if e.kind == COSET:
-            cz_d /= mpmath.sqrt(p)
-        lhs = _log_eta_p_eval(p, ez, prec, y_min, guard)
-        base = _log_eta_p_eval(p, z, prec, y_min, guard)
-        phase = mpmath.pi * 1j * mpmath.mpf(value.numerator) / (12 * value.denominator)
-        rhs = base.value + phase
-        if c != 0:
-            rhs += _branch_term(cz_d, sgn(c))
-        return _report(lhs, rhs, base, prec)
+    return _verify(partial(_log_eta_p_eval, e.p), *e.integer_matrix(), e.p, phi_p(e), z, prec)

@@ -251,52 +251,29 @@ class FrickeElement(_Value):
         p = self.p
         m1, s1 = self.integer_matrix()
         m2, s2 = other.integer_matrix()
-        prod = (
+        a, b, c, d = (
             m1[0] * m2[0] + m1[1] * m2[2],
             m1[0] * m2[1] + m1[1] * m2[3],
             m1[2] * m2[0] + m1[3] * m2[2],
             m1[2] * m2[1] + m1[3] * m2[3],
         )
-        scale = s1 * s2
-        if scale == p * p:
-            # det p * det p = det p^2 and every entry is divisible by p;
-            # dividing through lands back in Gamma0(p).
-            prod = tuple(x // p for x in prod)
-            scale = 1
-        return classify(p, prod, scale)
+        # Each // p is exact.  p | c' for g = (a', b'; c', d') in Gamma0(p), and
+        # a coset's integer matrix is w = (p al, be; p ga, p de).  The 11, 21
+        # and 22 entries of g w are p (a' al + b' ga), p (c' al + d' ga) and
+        # c' be + p d' de, and those of w g are p al a' + be c', p (ga a' + de c')
+        # and p (ga b' + de d').  Every entry of w w* is divisible by p:
+        # p (p al al* + be ga*), p (al be* + be de*), p^2 (ga al* + de ga*) and
+        # p (ga be* + p de de*).
+        if s1 * s2 == p:
+            return FrickeElement(p, COSET, (a // p, b, c // p, d // p))
+        if s1 * s2 == p * p:
+            a, b, c, d = a // p, b // p, c // p, d // p
+        return FrickeElement(p, GAMMA0, (a, b, c, d))
 
     def __str__(self) -> str:
         if self.kind == GAMMA0:
             return f"{self.p}|{','.join(map(str, self.q))}"
         return f"{self.p}:{','.join(map(str, self.q))}"
-
-
-def classify(p: int, m: tuple[int, int, int, int], det_scale: int) -> FrickeElement:
-    """Sort an integer matrix with det scale 1 or p into the two cosets.
-
-    det_scale 1: m must be in Gamma0(p).  det_scale p: m must have
-    determinant p with p dividing the 11, 21 and 22 entries; the coset
-    normal form is then (m11/p, m12, m21/p, m22/p).
-    """
-    if not is_odd_prime(p):
-        raise NotOddPrimeError(f"p = {p} is not an odd prime")
-    a, b, c, d = m
-    det = a * d - b * c
-    if det_scale == 1:
-        if det != 1:
-            raise DeterminantError(f"determinant is {det}, expected 1")
-        if c % p != 0:
-            raise DivisibilityError(f"lower-left entry {c} not divisible by {p}")
-        return FrickeElement(p, GAMMA0, (a, b, c, d))
-    if det_scale == p:
-        if det != p:
-            raise DeterminantError(f"determinant is {det}, expected {p}")
-        if a % p or c % p or d % p:
-            raise DivisibilityError(
-                f"entries ({a},{c},{d}) must be divisible by {p} in the coset normal form"
-            )
-        return FrickeElement(p, COSET, (a // p, b, c // p, d // p))
-    raise DeterminantError(f"det scale must be 1 or {p}, got {det_scale}")
 
 
 def fricke_involution(p: int) -> FrickeElement:

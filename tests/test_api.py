@@ -1,6 +1,7 @@
 """The public namespace: every exported name resolves, and the slow
 reference implementations live only under tests/."""
 
+import ast
 import importlib
 import inspect
 import os
@@ -82,3 +83,15 @@ def test_eta_names_load_on_first_use():
     for name in ETA_NAMES:
         assert namespace[name] is getattr(eta, name)
     assert "mpmath" in _fresh_modules("from rademacher import log_eta")
+
+
+def test_no_assert_in_the_library():
+    # python -O strips assert statements: invariants must be raised
+    package = Path(rademacher.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert len(list(package.rglob("*.py"))) > 5 and found == []

@@ -123,6 +123,81 @@ def test_verify_eta_pass_and_fail_exit(capsys):
     assert code == 1 and payload["pass"] is False
 
 
+# the README's verify commands, and one that fails its tolerance: argv, exit
+# status, stdout, --plain stdout
+FROZEN_VERIFY = [
+    ('verify-eta --matrix=3,1,8,3 --z=0.333,0.5 --precision=60',
+     0,
+     ('{"lhs": "0.86015628817687292569463598835537243007464506535714768944628'
+      '9,-0.425830612095577697724432327365174873885160006936610217435886", "r'
+      'hs": "0.860156288176872925694635988355372430074645065357147689446289,-'
+      '0.425830612095577697724432327365174873885160006936610217435886", "resi'
+      'dual": "9.0216564e-71", "truncation_terms": 83, "lhs_terms": 83, "rhs_'
+      'terms": 13, "series": "pentagonal", "precision": 60, "tail_bound": "2.'
+      '1646958e-74", "working_digits": 70, "tolerance": "1e-40", "pass": true'
+      '}\n'),
+     'residual 9.0216564e-71\npass true\n'),
+    ('verify-theorem1 --p=7 --matrix=1,1,7,8 --z=0.2,0.9 --precision=100',
+     0,
+     ('{"lhs": "0.27009401725599151391233788483689138585096318024812277540762'
+      '44075905048622526861371978477729747929641,0.50299635720529465787229690'
+      '5577503227101733352105423494837252086905378246221809647630844397284015'
+      '6678", "rhs": "0.27009401725599151391233788483689138585096318024812277'
+      '54076244075905048622526861371978477729747929641,0.50299635720529465787'
+      '2296905577503227101733352105423494837252086905378246221809647630844397'
+      '2840156678", "residual": "1.8740591e-112", "truncation_terms": 125, "l'
+      'hs_terms": 125, "rhs_terms": 11, "series": "pentagonal", "precision": '
+      '100, "tail_bound": "1.2675624e-113", "working_digits": 112, "tolerance'
+      '": "1e-40", "pass": true}\n'),
+     'residual 1.8740591e-112\npass true\n'),
+    ('verify-theorem1 --fricke=5:0,-1,1,0 --z=0.2,0.8',
+     0,
+     ('{"lhs": "-0.32336219361441274698416627780839027063407529478334,0.03145'
+      '1293658221246507587170963769043178571755122344", "rhs": "-0.3233621936'
+      '1441274698416627780839027063407529478334,0.031451293658221246507587170'
+      '963769043178571755122344", "residual": "9.7991315e-63", "truncation_te'
+      'rms": 17, "lhs_terms": 17, "rhs_terms": 9, "series": "pentagonal", "pr'
+      'ecision": 50, "tail_bound": "1.1820813e-71", "working_digits": 62, "to'
+      'lerance": "1e-40", "pass": true}\n'),
+     'residual 9.7991315e-63\npass true\n'),
+    ('verify-eta --matrix=3,1,8,3 --z=0.333,0.5 --precision=60 --tolerance=1e-200',
+     1,
+     ('{"lhs": "0.86015628817687292569463598835537243007464506535714768944628'
+      '9,-0.425830612095577697724432327365174873885160006936610217435886", "r'
+      'hs": "0.860156288176872925694635988355372430074645065357147689446289,-'
+      '0.425830612095577697724432327365174873885160006936610217435886", "resi'
+      'dual": "9.0216564e-71", "truncation_terms": 83, "lhs_terms": 83, "rhs_'
+      'terms": 13, "series": "pentagonal", "precision": 60, "tail_bound": "2.'
+      '1646958e-74", "working_digits": 70, "tolerance": "1e-200", "pass": fal'
+      'se}\n'),
+     'residual 9.0216564e-71\npass false\n'),
+]
+
+
+def test_verify_outputs_frozen(capsys, monkeypatch):
+    # the digits, the report fields and the exit status, byte for byte
+    monkeypatch.delenv("RADEMACHER_PRECISION", raising=False)
+    for command, status, out, plain in FROZEN_VERIFY:
+        assert run(command.split()) == status
+        assert capsys.readouterr().out == out, command
+        assert run(["--plain"] + command.split()) == status
+        assert capsys.readouterr().out == plain, command
+
+
+def test_huge_precision_is_refused_at_once(capsys):
+    # checked before z is read at that precision: 10^9 digits would
+    # allocate gigabytes and run for hours
+    for argv in (["verify-eta", "--matrix", "1,1,0,1"],
+                 ["verify-theorem1", "--p", "5", "--matrix", "1,0,5,1"]):
+        start = time.perf_counter()
+        status = run(argv + ["--z", "0.1,1", "--precision", "1000000000"])
+        lines = capsys.readouterr().out.splitlines()
+        assert time.perf_counter() - start < 1
+        assert status == 1 and len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert error["code"] == "domain" and "ceiling" in error["message"]
+
+
 def test_verify_theorem1_both_forms(capsys):
     code, payload = run_json(
         capsys,

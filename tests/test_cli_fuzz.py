@@ -4,8 +4,9 @@ Whatever the flags, ``run`` returns 0, 1 or 2 without raising; stdout is
 empty (an argparse usage error, exit 2), exactly one JSON object, or an
 SVG document (render, exit 0); every error code is one of errors.py.
 --help, --plain and --out are left out (they change what goes to
-stdout); --precision stays <= 60 and z parts <= 1e6 in size so a case
-costs milliseconds.
+stdout); a well-formed --precision stays <= 60 and z parts <= 1e6 in
+size so a case costs milliseconds, and a larger --precision must be
+refused before it costs more.
 """
 
 import contextlib
@@ -71,7 +72,8 @@ FLAGS = {
         st.builds("{},{}".format, z_part, z_part) | _joined(z_part, (0, 3)),
     ),
     "--precision": (st.integers(30, 60).map(str),
-                    st.integers(max_value=60).map(str) | st.sampled_from(SPECIAL)),
+                    st.integers(max_value=60).map(str)
+                    | st.sampled_from(SPECIAL + ("100000", "1000000000"))),
     "--tolerance": (st.sampled_from(("1e-40", "1e-10", "0", "-1", "1e400", "1/2")), junk),
     "--x-min": (st.sampled_from(("-2", "-1/2", "0.25", "-1e400")), junk),
     "--x-max": (st.sampled_from(("1", "3/2", "100", "1e400")), junk),

@@ -13,7 +13,6 @@ from rademacher.eta import (
     GUARD_DIGITS,
     VerificationReport,
     _log_eta_eval,
-    _log_eta_info,
     eta_p_branch_ratio,
     log_eta,
     log_eta_p,
@@ -90,9 +89,9 @@ def test_huge_imaginary_part():
     # |q| = exp(-2 pi 1e400) leaves S = 1: log eta is pi i z / 12 exactly
     with mp(50):
         z = mpmath.mpc("0.1", "1e400")
-        value, terms, tail = _log_eta_info(z, 50)
-        assert terms == 1 and tail < mpmath.mpf(10) ** -1000
-        assert value == mpmath.pi * 1j * z / 12
+        result = _log_eta_eval(z, 50)
+        assert result.terms == 1 and result.tail_bound < mpmath.mpf(10) ** -1000
+        assert result.value == mpmath.pi * 1j * z / 12
 
 
 def test_huge_point_certificate_is_absolute():
@@ -148,16 +147,37 @@ def test_precision_floor():
         log_eta(mpmath.mpc(0, 1), prec=10)
 
 
+def test_precision_ceiling(monkeypatch):
+    # refused before either point is formed at that precision
+    def never(*args):
+        raise AssertionError("_guarded_points ran")
+
+    monkeypatch.setattr(eta, "_guarded_points", never)
+    z = mpmath.mpc("0.1", "1")
+    for call in (
+        lambda prec: log_eta(z, prec=prec),
+        lambda prec: log_eta_p(5, z, prec=prec),
+        lambda prec: verify_eta_transform(S, z, prec=prec),
+        lambda prec: verify_theorem1(fricke_involution(5), z, prec=prec),
+    ):
+        for prec in (eta.MAX_PRECISION + 1, 10**9):
+            with pytest.raises(DomainError, match="ceiling"):
+                call(prec)
+        with pytest.raises(DomainError, match="floor"):
+            call(eta.MIN_PRECISION - 1)
+
+
 def test_truncation_soundness():
     # value with tail bound t at prec P sits within t of a much deeper sum
     prec = 40
     with mp(2 * prec + 10):
         z = mpmath.mpc("0.41", "0.09")
-        coarse, n1, tail = _log_eta_info(z, prec)
-        fine, n2, _ = _log_eta_info(z, 2 * prec + 10)
+        coarse = _log_eta_eval(z, prec)
+        fine = _log_eta_eval(z, 2 * prec + 10)
         # pentagonal summands grow like sqrt(digits): 50 -> 100 digits is sqrt 2
-        assert abs(n2 / n1 - math.sqrt(2)) < 0.15
-        assert abs(coarse - fine) <= tail + mpmath.mpf(10) ** -(2 * prec)
+        assert abs(fine.terms / coarse.terms - math.sqrt(2)) < 0.15
+        assert (abs(coarse.value - fine.value)
+                <= coarse.tail_bound + mpmath.mpf(10) ** -(2 * prec))
 
 
 @pytest.mark.parametrize("prec", [100, 200])

@@ -7,6 +7,7 @@ from conftest import random_matrix
 from hypothesis import given
 from hypothesis import strategies as st
 
+from rademacher import matrices
 from rademacher.errors import (
     DeterminantError,
     DivisibilityError,
@@ -23,7 +24,6 @@ from rademacher.matrices import (
     T,
     FrickeElement,
     UnimodularMatrix,
-    classify,
     fricke_involution,
     is_odd_prime,
     parse_fricke,
@@ -213,28 +213,32 @@ def test_prime_mismatch():
         FrickeElement.identity(5) * FrickeElement.identity(7)
 
 
-def test_classify_roundtrip(rng):
+def test_product_with_identity_roundtrip(rng):
     p = 11
     wp = fricke_involution(p)
+    one = FrickeElement.identity(p)
     for _ in range(40):
         e = FrickeElement.gamma0(p, _random_gamma0_matrix(rng, p))
         if rng.random() < 0.5:
             e = wp * e
-        m, scale = e.integer_matrix()
-        back = classify(p, m, scale)
-        assert back.kind == e.kind and back.q == e.q
+        assert e * one == e == one * e
 
 
-def test_classify_errors():
-    assert classify(5, (0, -1, 5, 0), 5).q == (0, -1, 1, 0)
-    with pytest.raises(DeterminantError):
-        classify(5, (1, 1, 0, 1), 5)
-    with pytest.raises(DivisibilityError):
-        classify(5, (1, 0, 1, 1), 1)
-    with pytest.raises(DivisibilityError):
-        classify(5, (1, 0, 5, 5), 5)  # det 5 but a not divisible by 5
-    with pytest.raises(NotOddPrimeError):
-        classify(6, (1, 0, 6, 1), 1)
+def test_one_primality_test_per_product(monkeypatch):
+    # the constructor checks p once; the product builds its normal form
+    # itself and does not check it a second time
+    p = 2**61 - 1
+    wp = fricke_involution(p)
+    pool = [wp, FrickeElement.gamma0(p, UnimodularMatrix(1, 0, p, 1)),
+            FrickeElement.coset(p, 1, 1, p - 1, 1)]
+    calls = []
+    real = matrices.is_odd_prime
+    monkeypatch.setattr(matrices, "is_odd_prime", lambda n: calls.append(n) or real(n))
+    for x in pool:
+        for y in pool:
+            calls.clear()
+            x * y
+            assert calls == [p], (x, y)
 
 
 def test_parse_fricke():
