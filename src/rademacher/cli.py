@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -68,21 +67,6 @@ def _parse_fraction(text: str) -> Fraction:
         raise ParseError(f"expected a rational number, got {text!r}") from exc
 
 
-def _default_precision() -> int:
-    raw = os.environ.get("RADEMACHER_PRECISION")
-    if raw is None:
-        from .eta import DEFAULT_PRECISION
-
-        return DEFAULT_PRECISION
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value <= 0:
-        raise ParseError(f"RADEMACHER_PRECISION must be a positive integer, got {raw!r}")
-    return value
-
-
 def _fricke_arg(args) -> FrickeElement:
     if args.fricke is not None:
         if args.matrix is not None or args.p is not None:
@@ -96,7 +80,7 @@ def _fricke_arg(args) -> FrickeElement:
 
 def _add_precision_flags(sub):
     sub.add_argument("--precision", type=int, default=None,
-                     help="decimal digits (default: RADEMACHER_PRECISION or 50)")
+                     help="decimal digits (default 50)")
     sub.add_argument("--tolerance", default=DEFAULT_TOLERANCE,
                      help="pass threshold for the residual")
 
@@ -212,7 +196,7 @@ def _run_verify(args):
     from . import eta
 
     _check_tolerance(args.tolerance)
-    prec = args.precision if args.precision is not None else _default_precision()
+    prec = eta.DEFAULT_PRECISION if args.precision is None else args.precision
     if args.command == "verify-eta":
         g, verify = parse_matrix(args.matrix), eta.verify_eta_transform
     else:

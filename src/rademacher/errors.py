@@ -41,12 +41,6 @@ class PrimeMismatchError(DomainError):
     code = "prime_mismatch"
 
 
-class CosetBodyError(DomainError):
-    """Operation defined only on the Gamma0 part received a coset element."""
-
-    code = "wrong_body"
-
-
 class NotCoprimeError(DomainError):
     code = "not_coprime"
 

@@ -14,7 +14,8 @@ phi_p_geometric reaches the same numbers through edge words and the
 trace/signature formula; the agreement of the two routes is an acceptance
 check, so neither implementation may call the other (they share only the
 coset split and the conjugation, which the cocycle law test covers).  Both
-read the quadruple its constructor checked and sum 2 Phi_p as an int.
+read the quadruple its constructor checked and sum 2 Phi_p as an int.  The
+conjugation is the private _conjugate, on raw quadruples only.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import random
 from fractions import Fraction
 
 from .dedekind import _phi
-from .errors import CosetBodyError, NotOddPrimeError
+from .errors import NotOddPrimeError
 from .inertia import km_phi
 from .matrices import GAMMA0, FrickeElement, UnimodularMatrix, is_odd_prime, sgn, t_power
 from .words import _descend
@@ -39,14 +40,9 @@ def k_of_p(p: int) -> int:
     return k
 
 
-def conjugate_by_p(e: FrickeElement) -> UnimodularMatrix:
-    """(a, b; c, d) -> (a, p b; c/p, d), defined on the Gamma0 part only."""
-    if e.kind != GAMMA0:
-        raise CosetBodyError("conjugation by diag(sqrt p, 1/sqrt p) needs a Gamma0 element")
-    return UnimodularMatrix(*_conjugate(e.p, e.q))
-
-
 def _conjugate(p: int, q: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+    """(a, b; c, d) -> (a, p b; c/p, d), conjugation by diag(sqrt p, 1/sqrt p)
+    of a Gamma0(p) quadruple."""
     a, b, c, d = q
     return a, p * b, c // p, d
 

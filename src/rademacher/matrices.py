@@ -133,9 +133,6 @@ class UnimodularMatrix(_Value):
     def inverse(self) -> "UnimodularMatrix":
         return UnimodularMatrix(self.d, -self.b, -self.c, self.a)
 
-    def trace(self) -> int:
-        return self.a + self.d
-
     def entries(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
 
@@ -143,18 +140,12 @@ class UnimodularMatrix(_Value):
         return f"{self.a},{self.b},{self.c},{self.d}"
 
 
-I2 = UnimodularMatrix(1, 0, 0, 1)
 S = UnimodularMatrix(0, -1, 1, 0)
 T = UnimodularMatrix(1, 1, 0, 1)
 
 
 def t_power(n: int) -> UnimodularMatrix:
     return UnimodularMatrix(1, n, 0, 1)
-
-
-def psl_eq(g: UnimodularMatrix, h: UnimodularMatrix) -> bool:
-    """Equality in PSL2(Z), i.e. up to overall sign."""
-    return g == h or g == -h
 
 
 def parse_matrix(text: str) -> UnimodularMatrix:
@@ -215,10 +206,6 @@ class FrickeElement(_Value):
     def coset(cls, p: int, alpha: int, beta: int, gamma: int, delta: int) -> "FrickeElement":
         return cls(p, COSET, (alpha, beta, gamma, delta))
 
-    @classmethod
-    def identity(cls, p: int) -> "FrickeElement":
-        return cls.gamma0(p, I2)
-
     # -- views ---------------------------------------------------------
 
     @property
@@ -235,13 +222,6 @@ class FrickeElement(_Value):
             return self.q, 1
         al, be, ga, de = self.q
         return (self.p * al, be, self.p * ga, self.p * de), self.p
-
-    def same_psl(self, other: "FrickeElement") -> bool:
-        """Equality up to overall sign (PSL sense), same p and coset."""
-        if self.p != other.p or self.kind != other.kind:
-            return False
-        a, b, c, d = self.q
-        return other.q in ((a, b, c, d), (-a, -b, -c, -d))
 
     # -- group law ------------------------------------------------------
 

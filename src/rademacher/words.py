@@ -8,8 +8,16 @@ A word w = (a_1, ..., a_k) stands for the product
 
 whose partial products trace out a path of edges starting from the based
 edge (1/0, 0/1): the j-th partial product (a, b; c, d) covers the directed
-edge b/d -> a/c.  decompose inverts this up to sign, endpoints and
-turns_from_endpoints convert between words and vertex sequences.
+edge b/d -> a/c.  Right-multiplying by T^a S = (a, -1; 1, 0) maps the
+columns (L, R) to (a L + R, -L), so the left columns obey one three-term
+recurrence
+
+    (n_j, d_j) = a_j (n_{j-1}, d_{j-1}) - (n_{j-2}, d_{j-2}),
+
+from (n_{-1}, d_{-1}) = (1, 0) and (n_0, d_0) = (0, 1).  endpoints_signed
+runs it; reconstruct reads the product off its last two columns.
+decompose inverts this up to sign, endpoints and turns_from_endpoints
+convert between words and vertex sequences.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from __future__ import annotations
 from math import gcd
 
 from .errors import NotAnEdgeError, ParseError, WordTooLongError, WrongBaseEdgeError
-from .matrices import S, UnimodularMatrix, _Value
+from .matrices import UnimodularMatrix, _Value
 
 EdgeWord = tuple[int, ...]
 
@@ -46,36 +54,18 @@ class Farey(_Value):
     def __str__(self) -> str:
         return f"{self.n}/{self.d}"
 
-    @classmethod
-    def parse(cls, text: str) -> "Farey":
-        num, sep, den = text.partition("/")
-        try:
-            if sep:
-                return cls(int(num), int(den))
-            return cls(int(num), 1)
-        except ValueError:
-            raise ParseError(f"bad vertex {text!r}") from None
-
 
 INFINITY = Farey(1, 0)
-ZERO = Farey(0, 1)
-
-
-def is_edge(u: Farey, v: Farey) -> bool:
-    return abs(u.n * v.d - v.n * u.d) == 1
-
-
-def _t_s(a: int) -> UnimodularMatrix:
-    # T^a S = (a, -1; 1, 0)
-    return UnimodularMatrix(a, -1, 1, 0)
 
 
 def reconstruct(word) -> UnimodularMatrix:
-    """S (T^{a_1} S) ... (T^{a_k} S); the empty word gives S itself."""
-    m = S
-    for a in word:
-        m = m * _t_s(a)
-    return m
+    """S (T^{a_1} S) ... (T^{a_k} S); the empty word gives S itself.
+
+    The product's left column is the last pair of endpoints_signed and its
+    right column the negated pair before it: (n_k, -n_{k-1}; d_k, -d_{k-1}).
+    """
+    (n0, d0), (n1, d1) = endpoints_signed(word)[-2:]
+    return UnimodularMatrix(n1, -n0, d1, -d0)
 
 
 def decompose(g: UnimodularMatrix) -> EdgeWord:
@@ -121,14 +111,14 @@ def endpoints_signed(word) -> list[tuple[int, int]]:
     """Raw endpoint representatives (n, d), sign-carrying.
 
     The sequence starts (1, 0), (0, 1) and appends the left column of each
-    partial product; every consecutive pair satisfies
-    n_j d_{j+1} - n_{j+1} d_j = +1 exactly.
+    partial product by the recurrence of the module docstring; every
+    consecutive pair satisfies n_j d_{j+1} - n_{j+1} d_j = +1 exactly.
     """
-    pts = [(1, 0), (0, 1)]
-    m = S
+    n0, d0, n1, d1 = 1, 0, 0, 1
+    pts = [(n0, d0), (n1, d1)]
     for a in word:
-        m = m * _t_s(a)
-        pts.append((m.a, m.c))
+        n0, d0, n1, d1 = n1, d1, a * n1 - n0, a * d1 - d0
+        pts.append((n1, d1))
     return pts
 
 

@@ -9,8 +9,33 @@ import random
 
 import pytest
 
-from rademacher.matrices import S, UnimodularMatrix, psl_eq
-from rademacher.words import decompose, reconstruct
+from rademacher.matrices import S, FrickeElement, UnimodularMatrix
+from rademacher.words import Farey, decompose, reconstruct
+
+I2 = UnimodularMatrix(1, 0, 0, 1)
+
+
+def psl_eq(g: UnimodularMatrix, h: UnimodularMatrix) -> bool:
+    """Equality in PSL2(Z), i.e. up to overall sign."""
+    return g == h or g == -h
+
+
+def is_edge(u: Farey, v: Farey) -> bool:
+    """u and v span an edge of the Farey triangulation."""
+    return abs(u.n * v.d - v.n * u.d) == 1
+
+
+def fricke_identity(p: int) -> FrickeElement:
+    return FrickeElement.gamma0(p, I2)
+
+
+def mat_of(word) -> UnimodularMatrix:
+    """S (T^{a_1} S) ... (T^{a_k} S) as a product of checked matrices,
+    independent of the column recurrence in words.py."""
+    m = S
+    for a in word:
+        m = m * UnimodularMatrix(a, -1, 1, 0)
+    return m
 
 
 def random_word(rng: random.Random, max_len: int = 6, cap: int = 4,

@@ -14,10 +14,22 @@ import oracles
 
 import rademacher
 
-# helpers that left the library for the tests, besides the oracles themselves
-MOVED = {"dedekind_sum_fast", "word_matrix_roundtrip", "LITERAL_THRESHOLD"}
+# names that left the library, for the tests or for good, besides the oracles
+MOVED = {"dedekind_sum_fast", "word_matrix_roundtrip", "LITERAL_THRESHOLD",
+         "psl_eq", "I2", "trace", "identity", "same_psl", "is_edge", "ZERO", "parse",
+         "conjugate_by_p", "CosetBodyError", "_t_s", "_default_precision"}
 ETA_NAMES = {"VerificationReport", "eta_p_branch_ratio", "log_eta", "log_eta_p",
              "verify_eta_transform", "verify_theorem1"}
+PUBLIC = {
+    "UnimodularMatrix", "FrickeElement", "Farey", "fricke_involution", "parse_matrix",
+    "parse_fricke",
+    "rademacher_phi", "dedekind_sum", "km_phi", "phi_p", "phi_p_geometric", "random_gamma0",
+    "decompose", "reconstruct", "endpoints", "endpoints_signed", "turns_from_endpoints",
+    "render_svg", "RenderOptions",
+    "DomainError", "ParseError",
+    "__version__",
+} | ETA_NAMES
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def _oracle_names():
@@ -33,6 +45,13 @@ def test_every_exported_name_resolves():
         assert getattr(rademacher, name, None) is not None, name
 
 
+def test_public_surface_is_what_users_call():
+    assert len(PUBLIC) == 28 and set(rademacher.__all__) == PUBLIC
+    namespace = {}
+    exec("from rademacher import *", namespace)
+    assert set(namespace) - {"__builtins__"} == PUBLIC
+
+
 def test_no_oracle_in_the_library():
     names = _oracle_names()
     assert {"sawtooth", "dedekind_sum_literal", "inertia_elimination",
@@ -42,10 +61,48 @@ def test_no_oracle_in_the_library():
         for info in pkgutil.iter_modules(rademacher.__path__)
         if info.name != "__main__"
     ]
+    classes = [obj for module in modules for obj in vars(module).values()
+               if inspect.isclass(obj) and obj.__module__.startswith("rademacher.")]
     for name in names | MOVED:
         assert name not in rademacher.__all__, name
-        for module in modules:
-            assert not hasattr(module, name), f"{module.__name__}.{name}"
+        for owner in modules + classes:
+            assert not hasattr(owner, name), f"{owner.__name__}.{name}"
+
+
+def _rademacher_reads(path: Path) -> set:
+    """(submodule, attribute) for every attribute read on a rademacher
+    submodule that the file imports with `from rademacher import ...`."""
+    tree = ast.parse(path.read_text(), str(path))
+    aliases = {
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "rademacher"
+        for alias in node.names
+    }
+    return {
+        (aliases[node.value.id], node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in aliases
+    }
+
+
+def test_benchmark_reads_resolve():
+    # perfbench reads library internals by name; a pruned name would only
+    # show as a failing benchmark run
+    reads = _rademacher_reads(PERFBENCH / "workloads.py") | _rademacher_reads(PERFBENCH / "run.py")
+    assert {("matrices", "t_power"), ("inertia", "tridiag_trace"), ("eta", "GUARD_DIGITS")} <= reads
+    for module, attr in sorted(reads):
+        assert hasattr(importlib.import_module(f"rademacher.{module}"), attr), f"{module}.{attr}"
+    tree = ast.parse((PERFBENCH / "spans.py").read_text())
+    layers = next(
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["LAYERS"]
+    )
+    pairs = [(entry.elts[0].id, entry.elts[1].value) for entry in layers.elts]
+    assert len(pairs) > 10
+    for module, attr in pairs:
+        assert hasattr(importlib.import_module(f"rademacher.{module}"), attr), f"{module}.{attr}"
 
 
 def _fresh_modules(code: str) -> set:

@@ -174,9 +174,8 @@ FROZEN_VERIFY = [
 ]
 
 
-def test_verify_outputs_frozen(capsys, monkeypatch):
+def test_verify_outputs_frozen(capsys):
     # the digits, the report fields and the exit status, byte for byte
-    monkeypatch.delenv("RADEMACHER_PRECISION", raising=False)
     for command, status, out, plain in FROZEN_VERIFY:
         assert run(command.split()) == status
         assert capsys.readouterr().out == out, command
@@ -334,26 +333,6 @@ def test_bad_tolerance_is_parse_error(capsys, tolerance):
     code, payload = run_json(capsys, ["verify-eta", "--matrix=1,1,0,1", "--z=0.1,1",
                                       f"--tolerance={tolerance}"])
     assert code == 2 and payload["error"]["code"] == "parse"
-
-
-def test_precision_env_default(capsys, monkeypatch):
-    monkeypatch.setenv("RADEMACHER_PRECISION", "35")
-    code, payload = run_json(
-        capsys, ["verify-eta", "--matrix", "1,1,0,1", "--z", "0.1,1.0",
-                 "--tolerance", "1e-25"],
-    )
-    assert code == 0 and payload["precision"] == 35
-
-
-@pytest.mark.parametrize("raw", ["abc", "0", "-5"])
-def test_precision_env_malformed_is_parse_error(capsys, monkeypatch, raw):
-    monkeypatch.setenv("RADEMACHER_PRECISION", raw)
-    for argv in (["verify-eta", "--matrix", "1,1,0,1"],
-                 ["verify-theorem1", "--p", "5", "--matrix", "1,0,5,1"]):
-        status = run(argv + ["--z", "0.1,1.0"])
-        lines = capsys.readouterr().out.splitlines()
-        assert status == 2 and len(lines) == 1
-        assert json.loads(lines[0])["error"]["code"] == "parse"
 
 
 def test_help_exits_zero(capsys):

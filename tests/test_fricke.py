@@ -3,12 +3,13 @@ import sys
 from fractions import Fraction
 
 import pytest
+from conftest import fricke_identity
 
 from rademacher import dedekind, inertia, words
 from rademacher.dedekind import rademacher_phi
-from rademacher.errors import CosetBodyError, NotOddPrimeError, WordTooLongError
+from rademacher.errors import NotOddPrimeError, WordTooLongError
 from rademacher.fricke import (
-    conjugate_by_p,
+    _conjugate,
     k_of_p,
     phi_p,
     phi_p_geometric,
@@ -51,12 +52,11 @@ def test_k_of_p_rejects():
 
 
 def test_conjugate_by_p():
-    e = FrickeElement.gamma0(5, UnimodularMatrix(1, 0, 5, 1))
-    assert conjugate_by_p(e) == UnimodularMatrix(1, 0, 1, 1)
-    assert conjugate_by_p(FrickeElement.gamma0(5, T)) == UnimodularMatrix(1, 5, 0, 1)
-    assert conjugate_by_p(FrickeElement.identity(7)) == UnimodularMatrix(1, 0, 0, 1)
-    with pytest.raises(CosetBodyError):
-        conjugate_by_p(fricke_involution(5))
+    # (a, b; c, d) -> (a, p b; c/p, d) on the raw quadruple
+    assert _conjugate(5, (1, 0, 5, 1)) == (1, 0, 1, 1)
+    assert _conjugate(5, T.entries()) == (1, 5, 0, 1)
+    assert _conjugate(7, (1, 0, 0, 1)) == (1, 0, 0, 1)
+    assert _conjugate(7, (-1, 2, 7, -15)) == (-1, 14, 1, -15)
 
 
 def test_phi_p_frozen():
@@ -64,7 +64,7 @@ def test_phi_p_frozen():
     assert phi_p(FrickeElement.gamma0(5, T)) == 3
     assert phi_p(fricke_involution(5)) == 0
     for p in PRIMES:
-        assert phi_p(FrickeElement.identity(p)) == 0
+        assert phi_p(fricke_identity(p)) == 0
         assert phi_p(fricke_involution(p)) == 0
         assert phi_p(FrickeElement.gamma0(p, T)) == Fraction(1 + p, 2)
 
@@ -72,7 +72,7 @@ def test_phi_p_frozen():
 def test_phi_p_geometric_frozen():
     assert phi_p_geometric(FrickeElement.gamma0(5, UnimodularMatrix(1, 0, 5, 1))) == 0
     assert phi_p_geometric(FrickeElement.gamma0(5, T)) == 3
-    assert phi_p_geometric(FrickeElement.identity(7)) == 0
+    assert phi_p_geometric(fricke_identity(7)) == 0
     for p in PRIMES:
         assert phi_p_geometric(fricke_involution(p)) == 0
 
@@ -136,7 +136,8 @@ def test_phi_p_at_a_large_prime():
     wp = fricke_involution(M61)
     for _ in range(20):
         e = random_gamma0(M61, rng, steps=2, entry_cap=M61**3)
-        expected = Fraction(rademacher_phi(e.matrix) + rademacher_phi(conjugate_by_p(e)), 2)
+        conjugate = UnimodularMatrix(*_conjugate(M61, e.q))
+        expected = Fraction(rademacher_phi(e.matrix) + rademacher_phi(conjugate), 2)
         assert phi_p(e) == expected
         c = wp * e
         # the cocycle law with phi_p(W_p) = 0

@@ -3,7 +3,7 @@ import pickle
 import time
 
 import pytest
-from conftest import random_matrix
+from conftest import I2, fricke_identity, mat_of, psl_eq, random_matrix
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -19,7 +19,6 @@ from rademacher.errors import (
 from rademacher.matrices import (
     COSET,
     GAMMA0,
-    I2,
     S,
     T,
     FrickeElement,
@@ -28,20 +27,12 @@ from rademacher.matrices import (
     is_odd_prime,
     parse_fricke,
     parse_matrix,
-    psl_eq,
     sgn,
     t_power,
 )
 from rademacher.words import Farey
 
 words = st.lists(st.integers(-5, 5), min_size=0, max_size=8)
-
-
-def mat_of(word):
-    m = S
-    for a in word:
-        m = m * UnimodularMatrix(a, -1, 1, 0)
-    return m
 
 
 def test_sgn():
@@ -166,12 +157,12 @@ def test_involution_squares_to_identity():
         wp = fricke_involution(p)
         sq = wp * wp
         assert sq.kind == GAMMA0
-        assert sq.same_psl(FrickeElement.identity(p))
+        assert psl_eq(sq.matrix, I2)
 
 
 def test_identity_neutral(rng):
     for p in (3, 7):
-        e = FrickeElement.identity(p)
+        e = fricke_identity(p)
         for _ in range(20):
             g = FrickeElement.gamma0(p, _random_gamma0_matrix(rng, p))
             assert (e * g).q == g.q and (g * e).q == g.q
@@ -210,13 +201,13 @@ def test_group_law_associative(rng):
 
 def test_prime_mismatch():
     with pytest.raises(PrimeMismatchError):
-        FrickeElement.identity(5) * FrickeElement.identity(7)
+        fricke_identity(5) * fricke_identity(7)
 
 
 def test_product_with_identity_roundtrip(rng):
     p = 11
     wp = fricke_involution(p)
-    one = FrickeElement.identity(p)
+    one = fricke_identity(p)
     for _ in range(40):
         e = FrickeElement.gamma0(p, _random_gamma0_matrix(rng, p))
         if rng.random() < 0.5:

@@ -1,23 +1,32 @@
+import random
+
 import pytest
-from conftest import random_matrix, round_trip_matrices, word_matrix_roundtrip
+from conftest import (
+    I2,
+    is_edge,
+    mat_of,
+    psl_eq,
+    random_matrix,
+    round_trip_matrices,
+    word_matrix_roundtrip,
+)
 from hypothesis import given
 from hypothesis import strategies as st
 
 from rademacher import words
 from rademacher.errors import NotAnEdgeError, ParseError, WordTooLongError, WrongBaseEdgeError
-from rademacher.matrices import I2, S, T, UnimodularMatrix, psl_eq, t_power
+from rademacher.matrices import S, T, UnimodularMatrix, t_power
 from rademacher.words import (
     INFINITY,
-    ZERO,
     Farey,
     decompose,
     endpoints,
     endpoints_signed,
-    is_edge,
     reconstruct,
     turns_from_endpoints,
 )
 
+ZERO = Farey(0, 1)
 any_words = st.lists(st.integers(-6, 6), min_size=0, max_size=8).map(tuple)
 
 
@@ -32,17 +41,6 @@ def test_farey_normalization():
         Farey(0, 0)
 
 
-def test_farey_parse():
-    assert Farey.parse("3/8") == Farey(3, 8)
-    assert Farey.parse("-1/2") == Farey(-1, 2)
-    assert Farey.parse("7") == Farey(7, 1)
-    assert Farey.parse("1/0") == INFINITY
-    with pytest.raises(ParseError):
-        Farey.parse("x/y")
-    with pytest.raises(ParseError):
-        Farey.parse("")
-
-
 def test_is_edge():
     assert is_edge(INFINITY, ZERO)
     assert is_edge(Farey(1, 3), Farey(3, 8))
@@ -54,6 +52,34 @@ def test_reconstruct_frozen():
     assert reconstruct(()) == S
     assert reconstruct((-2, 1, -2)) == UnimodularMatrix(3, 1, 8, 3)
     assert psl_eq(reconstruct((-1, -1)), T)
+
+
+def test_recurrence_is_sign_exact_exhaustive():
+    # every word of length <= 6 over [-3, 3], interior zeros included: the
+    # column recurrence against the product of checked matrices, sign and all
+    count = 0
+
+    def walk(word, m, pts, depth):
+        nonlocal count
+        count += 1
+        assert reconstruct(word) == m, word
+        assert endpoints_signed(word) == pts, word
+        if depth:
+            for a in range(-3, 4):
+                child = m * UnimodularMatrix(a, -1, 1, 0)
+                walk(word + (a,), child, pts + [(child.a, child.c)], depth - 1)
+
+    walk((), S, [(1, 0), (0, 1)], 6)
+    assert count == 137_257
+
+
+def test_recurrence_is_sign_exact_random():
+    rng = random.Random(4040)
+    for _ in range(2000):
+        w = tuple(rng.randint(-50, 50) for _ in range(rng.randint(0, 40)))
+        assert reconstruct(w) == mat_of(w), w
+        partials = [mat_of(w[:j]) for j in range(len(w) + 1)]
+        assert endpoints_signed(w) == [(1, 0)] + [(m.a, m.c) for m in partials], w
 
 
 def _parabolic(n):
