@@ -47,18 +47,10 @@ __all__ = [
     "__version__",
 ]
 
-_ETA_NAMES = frozenset({
-    "VerificationReport",
-    "eta_p_branch_ratio",
-    "log_eta",
-    "log_eta_p",
-    "verify_eta_transform",
-    "verify_theorem1",
-})
-
 
 def __getattr__(name):
-    if name in _ETA_NAMES:
+    # the names of __all__ not bound above are the eta ones
+    if name in __all__:
         from . import eta
 
         value = getattr(eta, name)

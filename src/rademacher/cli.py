@@ -18,7 +18,7 @@ from .dedekind import rademacher_phi
 from .errors import DomainError, ParseError
 from .fricke import phi_p
 from .inertia import km_phi, tridiag_signature, tridiag_trace
-from .matrices import FrickeElement, parse_fricke, parse_matrix
+from .matrices import FrickeElement, parse_fricke, parse_integers, parse_matrix
 from .render import RenderOptions, render_svg
 from .words import decompose, endpoints
 
@@ -28,13 +28,7 @@ FRACTION_MAX_EXPONENT = 4300
 
 
 def _parse_word(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise ParseError(f"word must be comma separated integers, got {text!r}") from exc
+    return parse_integers(text) if text.strip() else ()
 
 
 def _parse_z(text: str, prec: int):
@@ -85,8 +79,9 @@ def _add_precision_flags(sub):
                      help="pass threshold for the residual")
 
 
-def _sub(subs, name, help_text):
+def _sub(subs, name, help_text, handler):
     p = subs.add_parser(name, help=help_text)
+    p.set_defaults(handler=handler)
     # SUPPRESS keeps a pre-subcommand --plain from being clobbered by a default
     p.add_argument("--plain", action="store_true", default=argparse.SUPPRESS,
                    help="bare values instead of JSON")
@@ -102,36 +97,36 @@ def build_parser() -> argparse.ArgumentParser:
                         help="bare values instead of JSON")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = _sub(subs, "phi", "Rademacher symbol of an SL(2,Z) matrix")
+    p = _sub(subs, "phi", "Rademacher symbol of an SL(2,Z) matrix", _run_phi)
     p.add_argument("--matrix", required=True, help="a,b,c,d")
 
-    p = _sub(subs, "phi-p", "level p symbol of a group element")
+    p = _sub(subs, "phi-p", "level p symbol of a group element", _run_phi_p)
     p.add_argument("--p", type=int, default=None, help="odd prime level")
     p.add_argument("--matrix", default=None, help="a,b,c,d in Gamma0(p)")
     p.add_argument("--fricke", default=None, help="p:alpha,beta,gamma,delta coset element")
 
-    p = _sub(subs, "decompose", "edge word of a matrix, with path endpoints")
+    p = _sub(subs, "decompose", "edge word of a matrix, with path endpoints", _run_decompose)
     p.add_argument("--matrix", required=True, help="a,b,c,d")
 
-    p = _sub(subs, "endpoints", "vertices of the path of a word")
+    p = _sub(subs, "endpoints", "vertices of the path of a word", _run_endpoints)
     p.add_argument("--word", required=True, help="comma separated integers (may be empty)")
 
-    p = _sub(subs, "km", "trace and signature form of the symbol")
+    p = _sub(subs, "km", "trace and signature form of the symbol", _run_km)
     p.add_argument("--word", required=True, help="comma separated integers")
 
-    p = _sub(subs, "verify-eta", "check the eta transformation law at a point")
+    p = _sub(subs, "verify-eta", "check the eta transformation law at a point", _run_verify)
     p.add_argument("--matrix", required=True, help="a,b,c,d")
     p.add_argument("--z", required=True, help="re,im in the upper half plane")
     _add_precision_flags(p)
 
-    p = _sub(subs, "verify-theorem1", "check the level p eta product law at a point")
+    p = _sub(subs, "verify-theorem1", "check the level p eta product law at a point", _run_verify)
     p.add_argument("--p", type=int, default=None)
     p.add_argument("--matrix", default=None)
     p.add_argument("--fricke", default=None)
     p.add_argument("--z", required=True, help="re,im in the upper half plane")
     _add_precision_flags(p)
 
-    p = _sub(subs, "render", "SVG picture of the path of a word")
+    p = _sub(subs, "render", "SVG picture of the path of a word", _run_render)
     p.add_argument("--word", required=True)
     p.add_argument("--out", default=None, help="output file (default: stdout)")
     p.add_argument("--x-min", default=None, help="left edge in plane units")
@@ -227,18 +222,6 @@ def _run_render(args):
     return None, None
 
 
-_HANDLERS = {
-    "phi": _run_phi,
-    "phi-p": _run_phi_p,
-    "decompose": _run_decompose,
-    "endpoints": _run_endpoints,
-    "km": _run_km,
-    "verify-eta": _run_verify,
-    "verify-theorem1": _run_verify,
-    "render": _run_render,
-}
-
-
 def run(argv=None) -> int:
     parser = build_parser()
     try:
@@ -247,7 +230,7 @@ def run(argv=None) -> int:
         return 0 if exc.code in (0, None) else int(exc.code)
 
     try:
-        result = _HANDLERS[args.command](args)
+        result = args.handler(args)
     except ParseError as exc:
         print(json.dumps({"error": {"code": exc.code, "message": str(exc)}}))
         return 2

@@ -64,15 +64,16 @@ unity, not always 1.
 
 The level-p law is the classical one with log eta_p, Phi_p, and on the
 W_p coset the integer matrix sqrt(p) e of determinant p, so both verify
-functions are one call to _verify.  P outside [MIN_PRECISION,
-MAX_PRECISION] is refused before any arithmetic at that precision.
+functions are one call to _verify, which takes the level as a number:
+p = 1 is the classical law, whose log eta_p is log eta itself (one
+series per side, not two).  P outside [MIN_PRECISION, MAX_PRECISION] is
+refused once per public call, before any arithmetic at that precision.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from functools import partial
 from typing import NamedTuple
 
 import mpmath
@@ -81,7 +82,7 @@ from mpmath.libmp import from_man_exp, to_fixed
 from .dedekind import rademacher_phi
 from .errors import DomainError, ImaginaryPartError, NotUpperHalfPlaneError, PointTooLargeError
 from .fricke import k_of_p, phi_p
-from .matrices import FrickeElement, UnimodularMatrix, sgn
+from .matrices import FrickeElement, UnimodularMatrix, check_odd_prime, sgn
 
 DEFAULT_PRECISION = 50
 MIN_PRECISION = 30
@@ -258,8 +259,8 @@ def _pentagonal_sum(w, y, log_abs_s_est: float, digits: int):
 def _log_eta_eval(z, prec: int, magnitude: int = 0) -> _LogEta:
     """log eta(z) to 10^-prec with its truncation data; see the module
     docstring for the three stages.  magnitude digits are carried on top
-    of the guard digits throughout (see _guarded_points)."""
-    check_precision(prec)
+    of the guard digits throughout (see _guarded_points).  The caller has
+    checked prec."""
     digits = prec + GUARD_DIGITS
     with mpmath.workdps(digits + magnitude):
         z = _upper_half_plane_point(z)
@@ -293,10 +294,14 @@ def _log_eta_eval(z, prec: int, magnitude: int = 0) -> _LogEta:
 
 def log_eta(z, prec: int = DEFAULT_PRECISION):
     """Principal-series logarithm of eta(z) for Im(z) >= Y_MIN."""
+    check_precision(prec)
     return _log_eta_eval(z, prec).value
 
 
 def _log_eta_p_eval(p: int, z, prec: int, magnitude: int = 0) -> _LogEta:
+    """log eta_p(z) as _log_eta_eval gives log eta; p = 1 is log eta itself."""
+    if p == 1:
+        return _log_eta_eval(z, prec, magnitude)
     with mpmath.workdps(prec + GUARD_DIGITS + magnitude):
         one = _log_eta_eval(z, prec, magnitude)
         other = _log_eta_eval(p * mpmath.mpc(z), prec, magnitude)
@@ -309,7 +314,10 @@ def _log_eta_p_eval(p: int, z, prec: int, magnitude: int = 0) -> _LogEta:
 
 
 def log_eta_p(p: int, z, prec: int = DEFAULT_PRECISION):
-    """Additive-branch log eta_p(z) = (log eta(z) + log eta(p z)) / 2."""
+    """Additive-branch log eta_p(z) = (log eta(z) + log eta(p z)) / 2;
+    NotOddPrimeError unless p is an odd prime."""
+    check_odd_prime(p)
+    check_precision(prec)
     return _log_eta_p_eval(p, z, prec).value
 
 
@@ -391,29 +399,28 @@ def _moebius(a, b, c, d, z):
     return mpmath.mpc(((a * z + b) / w).real, (a * d - b * c) * z.imag / abs(w) ** 2)
 
 
-def _guarded_points(z, a, b, c, d, prec: int, scale: int):
+def _guarded_points(z, a, b, c, d, prec: int, p: int):
     """(z, g z, guard) for g = (a, b; c, d), both points carried at
     prec + GUARD_DIGITS + guard digits.
 
-    Both sides of a transformation law are as large as pi scale |z| / 12
-    or pi scale |g z| / 12, where scale is p for the level-p law (its
-    sides hold log eta(p z) and log eta(p g z)) and 1 otherwise.  So the
-    residual is an absolute 10^-P certificate only if
-    guard = max(0, ceil(log10(scale max(|z|, |g z|)))) more digits are
-    carried (the magnitude guard).
+    Both sides of the level-p law are as large as pi p |z| / 12 or
+    pi p |g z| / 12 (its sides hold log eta(p z) and log eta(p g z); p = 1
+    for the classical law).  So the residual is an absolute 10^-P
+    certificate only if guard = max(0, ceil(log10(p max(|z|, |g z|))))
+    more digits are carried (the magnitude guard).
     """
     digits = prec + GUARD_DIGITS
     with mpmath.workdps(digits):
         w = _upper_half_plane_point(z)
         gw = _moebius(a, b, c, d, w)
     # doubles hold the sizes well enough for a digit count, up to 1e308
-    top = scale * max(abs(complex(w)), abs(complex(gw)))
+    top = p * max(abs(complex(w)), abs(complex(gw)))
     if top <= 1:
         return w, gw, 0
     if top < math.inf:
         guard = math.ceil(math.log10(top))
     else:
-        guard = math.ceil(float(mpmath.log10(scale * max(abs(w), abs(gw)))))
+        guard = math.ceil(float(mpmath.log10(p * max(abs(w), abs(gw)))))
     if guard > MAGNITUDE_MAX_DIGITS:
         raise PointTooLargeError(
             f"the sides of the law are about 10^{guard}, beyond "
@@ -424,16 +431,16 @@ def _guarded_points(z, a, b, c, d, prec: int, scale: int):
         return w, _moebius(a, b, c, d, w), guard
 
 
-def _verify(evaluate, m, det: int, scale: int, phi, z, prec: int) -> VerificationReport:
-    """Check evaluate(g z) against evaluate(z) + (pi i / 12) phi
+def _verify(p: int, m, det: int, phi, z, prec: int) -> VerificationReport:
+    """Check log eta_p(g z) against log eta_p(z) + (pi i / 12) phi
     + (1/2) sgn(c)^2 Log((c z + d)/(i sgn c sqrt det)) for the integer
-    matrix m = (a, b; c, d) of determinant det; scale as in _guarded_points."""
+    matrix m = (a, b; c, d) of determinant det; p = 1 is the classical law."""
     check_precision(prec)
     a, b, c, d = m
-    z, gz, guard = _guarded_points(z, a, b, c, d, prec, scale)
+    z, gz, guard = _guarded_points(z, a, b, c, d, prec, p)
     with mpmath.workdps(prec + GUARD_DIGITS + guard):
-        lhs = evaluate(gz, prec, guard)
-        base = evaluate(z, prec, guard)
+        lhs = _log_eta_p_eval(p, gz, prec, guard)
+        base = _log_eta_p_eval(p, z, prec, guard)
         rhs = base.value + mpmath.pi * 1j * phi.numerator / (12 * phi.denominator)
         if c != 0:
             # dividing by i sgn c rotates the upper or lower half plane onto the
@@ -457,7 +464,7 @@ def verify_eta_transform(
     """Check log eta(g z) against
     log eta(z) + (1/2) sgn(c)^2 Log((c z + d)/(i sgn c)) + (pi i / 12) Phi(g).
     """
-    return _verify(_log_eta_eval, g.entries(), 1, 1, rademacher_phi(g), z, prec)
+    return _verify(1, g.entries(), 1, rademacher_phi(g), z, prec)
 
 
 def verify_theorem1(
@@ -466,4 +473,4 @@ def verify_theorem1(
     """Check the level-p law log eta_p(e z) =
     log eta_p(z) + (1/2) sgn(c)^2 Log((c z + d)/(i sgn c)) + (pi i / 12) Phi_p(e),
     with (a, b, c, d) the real entries of e (sqrt p enters only here)."""
-    return _verify(partial(_log_eta_p_eval, e.p), *e.integer_matrix(), e.p, phi_p(e), z, prec)
+    return _verify(e.p, *e.integer_matrix(), phi_p(e), z, prec)

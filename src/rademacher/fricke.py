@@ -24,16 +24,14 @@ import random
 from fractions import Fraction
 
 from .dedekind import _phi
-from .errors import NotOddPrimeError
 from .inertia import km_phi
-from .matrices import GAMMA0, FrickeElement, UnimodularMatrix, is_odd_prime, sgn, t_power
+from .matrices import GAMMA0, FrickeElement, UnimodularMatrix, check_odd_prime, sgn, t_power
 from .words import _descend
 
 
 def k_of_p(p: int) -> int:
     """Smallest positive even k with (p - 1) k / 24 an integer."""
-    if not is_odd_prime(p):
-        raise NotOddPrimeError(f"p = {p} is not an odd prime")
+    check_odd_prime(p)
     k = 2
     while ((p - 1) * k) % 24:
         k += 2

@@ -71,6 +71,33 @@ def is_odd_prime(p: int) -> bool:
     return True
 
 
+def check_odd_prime(p: int) -> None:
+    """NotOddPrimeError unless is_odd_prime(p)."""
+    if not is_odd_prime(p):
+        raise NotOddPrimeError(f"p = {p} is not an odd prime")
+
+
+def _product(m1: tuple, m2: tuple) -> tuple[int, int, int, int]:
+    """The 2x2 product of two raw quadruples (a, b, c, d)."""
+    a1, b1, c1, d1 = m1
+    a2, b2, c2, d2 = m2
+    return a1 * a2 + b1 * c2, a1 * b2 + b1 * d2, c1 * a2 + d1 * c2, c1 * b2 + d1 * d2
+
+
+def parse_integers(text: str, count: int | None = None, arg: str | None = None,
+                   what: str = "comma-separated integers") -> tuple[int, ...]:
+    """The integers of the comma-separated text, exactly count of them unless
+    count is None; else ParseError "expected <what>, got <arg>", quoting arg,
+    the whole argument as given (text by default)."""
+    try:
+        values = tuple(int(part) for part in text.split(","))
+    except ValueError:
+        values = None
+    if values is None or count not in (None, len(values)):
+        raise ParseError(f"expected {what}, got {text if arg is None else arg!r}")
+    return values
+
+
 class _Value:
     """Immutable value object over the fields named in __slots__ (two or
     more): type-strict equality and hashing on the field tuple, and a
@@ -120,12 +147,7 @@ class UnimodularMatrix(_Value):
         _set(self, "d", d)
 
     def __mul__(self, other: "UnimodularMatrix") -> "UnimodularMatrix":
-        return UnimodularMatrix(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
+        return UnimodularMatrix(*_product(self.entries(), other.entries()))
 
     def __neg__(self) -> "UnimodularMatrix":
         return UnimodularMatrix(-self.a, -self.b, -self.c, -self.d)
@@ -150,14 +172,7 @@ def t_power(n: int) -> UnimodularMatrix:
 
 def parse_matrix(text: str) -> UnimodularMatrix:
     """Parse "a,b,c,d" (signed decimal integers, no spaces)."""
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise ParseError(f"expected four comma-separated integers, got {text!r}")
-    try:
-        a, b, c, d = (int(p) for p in parts)
-    except ValueError:
-        raise ParseError(f"non-integer entry in {text!r}") from None
-    return UnimodularMatrix(a, b, c, d)
+    return UnimodularMatrix(*parse_integers(text, 4, what="four comma-separated integers"))
 
 
 GAMMA0 = "gamma0"
@@ -176,8 +191,7 @@ class FrickeElement(_Value):
     __slots__ = ("p", "kind", "q")
 
     def __init__(self, p: int, kind: str, q: tuple[int, int, int, int]):
-        if not is_odd_prime(p):
-            raise NotOddPrimeError(f"p = {p} is not an odd prime")
+        check_odd_prime(p)
         a, b, c, d = q
         if kind == GAMMA0:
             if a * d - b * c != 1:
@@ -231,12 +245,7 @@ class FrickeElement(_Value):
         p = self.p
         m1, s1 = self.integer_matrix()
         m2, s2 = other.integer_matrix()
-        a, b, c, d = (
-            m1[0] * m2[0] + m1[1] * m2[2],
-            m1[0] * m2[1] + m1[1] * m2[3],
-            m1[2] * m2[0] + m1[3] * m2[2],
-            m1[2] * m2[1] + m1[3] * m2[3],
-        )
+        a, b, c, d = _product(m1, m2)
         # Each // p is exact.  p | c' for g = (a', b'; c', d') in Gamma0(p), and
         # a coset's integer matrix is w = (p al, be; p ga, p de).  The 11, 21
         # and 22 entries of g w are p (a' al + b' ga), p (c' al + d' ga) and
@@ -264,13 +273,7 @@ def fricke_involution(p: int) -> FrickeElement:
 def parse_fricke(text: str) -> FrickeElement:
     """Parse "p:alpha,beta,gamma,delta" (coset normal form)."""
     head, sep, tail = text.partition(":")
-    if not sep:
-        raise ParseError(f"expected 'p:alpha,beta,gamma,delta', got {text!r}")
-    try:
-        p = int(head)
-        parts = [int(x) for x in tail.split(",")]
-    except ValueError:
-        raise ParseError(f"non-integer field in {text!r}") from None
-    if len(parts) != 4:
-        raise ParseError(f"expected four comma-separated integers after ':' in {text!r}")
-    return FrickeElement.coset(p, *parts)
+    # without the ':' the empty field fails like any other malformed one
+    p, *q = parse_integers(f"{head},{tail}" if sep else "", 5, text,
+                           "'p:alpha,beta,gamma,delta'")
+    return FrickeElement.coset(p, *q)

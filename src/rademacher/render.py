@@ -1,9 +1,12 @@
 """Deterministic SVG pictures of based edge paths in the upper half plane.
 
 Edges between finite vertices are semicircles on the real axis; edges to
-1/0 are vertical segments clipped at a height cap.  All geometry is exact
-Fraction arithmetic; pixel coordinates are formatted once, with 12 decimal
-places and round-half-even, so equal inputs give byte-identical output.
+1/0 are vertical segments clipped at a height cap.  Finite vertices are
+labelled under the axis; 1/0, however often the path visits it, gets one
+label above the first edge, 1/0 -> 0/1, which is vertical at x = 0.  All
+geometry is exact Fraction arithmetic; pixel coordinates are formatted
+once, with 12 decimal places and round-half-even, so equal inputs give
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
 from .errors import ParseError
-from .words import Farey, endpoints
+from .words import endpoints
 
 _QUANTUM = Decimal("1.000000000000")
 
@@ -65,8 +68,8 @@ class RenderOptions:
         self.label_vertices = label_vertices
 
 
-def _x_range(vertices: list[Farey], opts: RenderOptions) -> tuple[Fraction, Fraction]:
-    finite = [Fraction(v.n, v.d) for v in vertices if not v.is_infinity]
+def _x_range(xs: list[Fraction | None], opts: RenderOptions) -> tuple[Fraction, Fraction]:
+    finite = [x for x in xs if x is not None]
     lo = min(finite)
     hi = max(finite)
     pad = max((hi - lo) / 4, Fraction(1, 4))
@@ -80,7 +83,8 @@ def _x_range(vertices: list[Farey], opts: RenderOptions) -> tuple[Fraction, Frac
 def render_svg(word, opts: RenderOptions | None = None) -> bytes:
     opts = opts if opts is not None else RenderOptions()
     vertices = endpoints(word)
-    x_min, x_max = _x_range(vertices, opts)
+    xs = [None if v.is_infinity else Fraction(v.n, v.d) for v in vertices]
+    x_min, x_max = _x_range(xs, opts)
     cap = opts.height_cap if opts.height_cap is not None else (x_max - x_min) * Fraction(5, 8)
 
     scale = Fraction(opts.width_px) / (x_max - x_min)
@@ -100,17 +104,14 @@ def render_svg(word, opts: RenderOptions | None = None) -> bytes:
     ]
 
     stroke = f'stroke="#1a1a1a" stroke-width="{_fmt(opts.stroke_width)}" fill="none"'
-    for u, v in zip(vertices, vertices[1:]):
-        if u.is_infinity or v.is_infinity:
-            fin = v if u.is_infinity else u
-            x = px(Fraction(fin.n, fin.d))
+    for xu, xv in zip(xs, xs[1:]):
+        if xu is None or xv is None:
+            x = px(xv if xu is None else xu)
             parts.append(
                 f'<line x1="{_fmt(x)}" y1="{_fmt(axis_y)}" x2="{_fmt(x)}" '
                 f'y2="{_fmt(top_y)}" {stroke}/>'
             )
         else:
-            xu = Fraction(u.n, u.d)
-            xv = Fraction(v.n, v.d)
             left, right = (xu, xv) if xu < xv else (xv, xu)
             r = (right - left) * scale / 2
             parts.append(
@@ -122,29 +123,15 @@ def render_svg(word, opts: RenderOptions | None = None) -> bytes:
         label_y = axis_y + opts.font_size * Fraction(5, 4)
         font = f'font-family="sans-serif" font-size="{_fmt(opts.font_size)}"'
         seen = set()
-        first_vertical_x = None
-        for u, v in zip(vertices, vertices[1:]):
-            if u.is_infinity or v.is_infinity:
-                fin = v if u.is_infinity else u
-                first_vertical_x = px(Fraction(fin.n, fin.d))
-                break
-        for v in vertices:
+        for v, x in zip(vertices, xs):
             if v in seen:
                 continue
             seen.add(v)
-            if v.is_infinity:
-                if first_vertical_x is None:
-                    continue
-                parts.append(
-                    f'<text x="{_fmt(first_vertical_x)}" y="{_fmt(top_y - opts.font_size / 4)}" '
-                    f'text-anchor="middle" {font}>{v}</text>'
-                )
-            else:
-                x = px(Fraction(v.n, v.d))
-                parts.append(
-                    f'<text x="{_fmt(x)}" y="{_fmt(label_y)}" '
-                    f'text-anchor="middle" {font}>{v}</text>'
-                )
+            # endpoints_signed starts (1, 0), (0, 1): the first edge is vertical at x = 0
+            tx, ty = (px(0), top_y - opts.font_size / 4) if x is None else (px(x), label_y)
+            parts.append(
+                f'<text x="{_fmt(tx)}" y="{_fmt(ty)}" text-anchor="middle" {font}>{v}</text>'
+            )
 
     parts.append("</svg>")
     return ("\n".join(parts) + "\n").encode("ascii")

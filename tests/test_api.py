@@ -17,7 +17,8 @@ import rademacher
 # names that left the library, for the tests or for good, besides the oracles
 MOVED = {"dedekind_sum_fast", "word_matrix_roundtrip", "LITERAL_THRESHOLD",
          "psl_eq", "I2", "trace", "identity", "same_psl", "is_edge", "ZERO", "parse",
-         "conjugate_by_p", "CosetBodyError", "_t_s", "_default_precision"}
+         "conjugate_by_p", "CosetBodyError", "_t_s", "_default_precision",
+         "_HANDLERS", "_ETA_NAMES"}
 ETA_NAMES = {"VerificationReport", "eta_p_branch_ratio", "log_eta", "log_eta_p",
              "verify_eta_transform", "verify_theorem1"}
 PUBLIC = {

@@ -263,7 +263,7 @@ def test_internal_error_not_reported_as_domain(capsys, monkeypatch):
     def broken(args):
         raise ValueError("bug")
 
-    monkeypatch.setitem(cli._HANDLERS, "phi", broken)
+    monkeypatch.setattr(cli, "_run_phi", broken)
     code, payload = run_json(capsys, ["phi", "--matrix", "1,1,0,1"])
     assert code == 1
     assert payload["error"] == {"code": "internal", "message": "ValueError: bug"}
@@ -338,3 +338,14 @@ def test_bad_tolerance_is_parse_error(capsys, tolerance):
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_precision_help_names_the_real_default(capsys):
+    # the parser may not import eta (it loads mpmath), so the help text
+    # hard-codes the default
+    from rademacher import eta
+
+    for command in ("verify-eta", "verify-theorem1"):
+        assert run([command, "--help"]) == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert f"(default {eta.DEFAULT_PRECISION})" in help_text, command

@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import float_log_product, log_eta_product, pentagonal_sum_mpc
 from rademacher import eta
-from rademacher.errors import DomainError, ImaginaryPartError, NotUpperHalfPlaneError
+from rademacher.errors import (
+    DomainError,
+    ImaginaryPartError,
+    NotOddPrimeError,
+    NotUpperHalfPlaneError,
+    PrimeTooLargeError,
+)
 from rademacher.eta import (
     GUARD_DIGITS,
     VerificationReport,
@@ -299,6 +305,16 @@ def test_log_eta_p_definition_and_shift():
         assert abs(log_eta_p(5, z, prec=50) - direct) < mpmath.mpf(10) ** -55
         shift = log_eta_p(5, z + 1, prec=50) - log_eta_p(5, z, prec=50)
         assert abs(shift - mpmath.pi * 1j / 4) < mpmath.mpf(10) ** -45
+
+
+@pytest.mark.parametrize("p, error", [
+    (4, NotOddPrimeError), (1, NotOddPrimeError), (0, NotOddPrimeError),
+    (-3, NotOddPrimeError), (9, NotOddPrimeError), (2**89 - 1, PrimeTooLargeError),
+])
+def test_log_eta_p_refuses_a_level_that_is_not_an_odd_prime(p, error):
+    # refused before any arithmetic: 0 and -3 used to blame z instead
+    with pytest.raises(error):
+        log_eta_p(p, mpmath.mpc("0.1", "1"))
 
 
 def test_delta_p_consistency():

@@ -1,3 +1,5 @@
+import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -44,6 +46,21 @@ def test_interior_infinity_vertical_edges():
     assert svg.count("<line") == 1 + 3
     assert svg.count("<path") == 1
     assert svg.count(">1/0<") == 1
+    # that label sits over the first vertical line after the axis, the base
+    # edge 1/0 -> 0/1, so at x = px(0), where 0/1 is labelled too
+    rng = random.Random(9)
+    words = [(-1, -1, -3)] + [
+        tuple(rng.randint(-3, 3) for _ in range(rng.randint(0, 8))) for _ in range(200)
+    ]
+    revisits = 0
+    for word in words:
+        svg = render_svg(word).decode("ascii")
+        lines = re.findall(r'<line x1="([^"]*)"', svg)
+        labels = re.findall(r'<text x="([^"]*)"[^>]*>([^<]*)</text>', svg)
+        assert [x for x, v in labels if v == "1/0"] == [lines[1]], word
+        assert [x for x, v in labels if v == "0/1"] == [lines[1]], word
+        revisits += len(lines) > 2
+    assert revisits >= 20
 
 
 def test_no_labels():
