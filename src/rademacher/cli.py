@@ -18,7 +18,7 @@ from .dedekind import rademacher_phi
 from .errors import DomainError, ParseError
 from .fricke import phi_p
 from .inertia import km_phi, tridiag_signature, tridiag_trace
-from .matrices import FrickeElement, parse_fricke, parse_integers, parse_matrix
+from .matrices import FrickeElement, integer, parse_fricke, parse_integers, parse_matrix
 from .render import RenderOptions, render_svg
 from .words import decompose, endpoints
 
@@ -28,7 +28,7 @@ FRACTION_MAX_EXPONENT = 4300
 
 
 def _parse_word(text: str) -> tuple[int, ...]:
-    return parse_integers(text) if text.strip() else ()
+    return parse_integers(text) if text else ()
 
 
 def _parse_z(text: str, prec: int):
@@ -68,13 +68,17 @@ def _fricke_arg(args) -> FrickeElement:
         return parse_fricke(args.fricke)
     if args.p is None or args.matrix is None:
         raise ParseError("need either --fricke or both --p and --matrix")
-    g = parse_matrix(args.matrix)
-    return FrickeElement.gamma0(args.p, g)
+    return FrickeElement.gamma0(args.p, parse_matrix(args.matrix))
+
+
+def _add_element_flags(sub):
+    sub.add_argument("--p", type=integer, help="odd prime level")
+    sub.add_argument("--matrix", help="a,b,c,d in Gamma0(p)")
+    sub.add_argument("--fricke", help="p:alpha,beta,gamma,delta coset element")
 
 
 def _add_precision_flags(sub):
-    sub.add_argument("--precision", type=int, default=None,
-                     help="decimal digits (default 50)")
+    sub.add_argument("--precision", type=integer, help="decimal digits (default 50)")
     sub.add_argument("--tolerance", default=DEFAULT_TOLERANCE,
                      help="pass threshold for the residual")
 
@@ -101,9 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True, help="a,b,c,d")
 
     p = _sub(subs, "phi-p", "level p symbol of a group element", _run_phi_p)
-    p.add_argument("--p", type=int, default=None, help="odd prime level")
-    p.add_argument("--matrix", default=None, help="a,b,c,d in Gamma0(p)")
-    p.add_argument("--fricke", default=None, help="p:alpha,beta,gamma,delta coset element")
+    _add_element_flags(p)
 
     p = _sub(subs, "decompose", "edge word of a matrix, with path endpoints", _run_decompose)
     p.add_argument("--matrix", required=True, help="a,b,c,d")
@@ -120,22 +122,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_precision_flags(p)
 
     p = _sub(subs, "verify-theorem1", "check the level p eta product law at a point", _run_verify)
-    p.add_argument("--p", type=int, default=None)
-    p.add_argument("--matrix", default=None)
-    p.add_argument("--fricke", default=None)
+    _add_element_flags(p)
     p.add_argument("--z", required=True, help="re,im in the upper half plane")
     _add_precision_flags(p)
 
     p = _sub(subs, "render", "SVG picture of the path of a word", _run_render)
     p.add_argument("--word", required=True)
-    p.add_argument("--out", default=None, help="output file (default: stdout)")
-    p.add_argument("--x-min", default=None, help="left edge in plane units")
-    p.add_argument("--x-max", default=None, help="right edge in plane units")
-    p.add_argument("--height-cap", default=None, help="clip height for vertical edges")
-    p.add_argument("--width-px", type=int, default=800)
-    p.add_argument("--height-px", type=int, default=560)
-    p.add_argument("--stroke-width", default="3/2")
-    p.add_argument("--font-size", default="14")
+    p.add_argument("--out", help="output file (default: stdout)")
+    p.add_argument("--x-min", help="left edge in plane units")
+    p.add_argument("--x-max", help="right edge in plane units")
+    p.add_argument("--height-cap", help="clip height for vertical edges")
+    p.add_argument("--width-px", type=integer)
+    p.add_argument("--height-px", type=integer)
+    p.add_argument("--stroke-width")
+    p.add_argument("--font-size")
     p.add_argument("--no-labels", action="store_true", help="skip vertex labels")
 
     return parser
@@ -203,16 +203,13 @@ def _run_verify(args):
 
 
 def _run_render(args):
-    opts = RenderOptions(
-        x_min=None if args.x_min is None else _parse_fraction(args.x_min),
-        x_max=None if args.x_max is None else _parse_fraction(args.x_max),
-        height_cap=None if args.height_cap is None else _parse_fraction(args.height_cap),
-        width_px=args.width_px,
-        height_px=args.height_px,
-        stroke_width=_parse_fraction(args.stroke_width),
-        font_size=_parse_fraction(args.font_size),
-        label_vertices=not args.no_labels,
-    )
+    # RenderOptions holds the defaults, so it gets only the flags given
+    fractions = ("x_min", "x_max", "height_cap", "stroke_width", "font_size")
+    given = {name: _parse_fraction(getattr(args, name)) for name in fractions
+             if getattr(args, name) is not None}
+    given.update((name, getattr(args, name)) for name in ("width_px", "height_px")
+                 if getattr(args, name) is not None)
+    opts = RenderOptions(**given, label_vertices=not args.no_labels)
     data = render_svg(_parse_word(args.word), opts)
     if args.out is not None:
         with open(args.out, "wb") as handle:
@@ -231,12 +228,9 @@ def run(argv=None) -> int:
 
     try:
         result = args.handler(args)
-    except ParseError as exc:
+    except (ParseError, DomainError) as exc:
         print(json.dumps({"error": {"code": exc.code, "message": str(exc)}}))
-        return 2
-    except DomainError as exc:
-        print(json.dumps({"error": {"code": exc.code, "message": str(exc)}}))
-        return 1
+        return 2 if isinstance(exc, ParseError) else 1
     except (ValueError, ArithmeticError) as exc:
         message = f"{type(exc).__name__}: {exc}"
         print(json.dumps({"error": {"code": "internal", "message": message}}))

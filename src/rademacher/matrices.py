@@ -12,6 +12,7 @@ All arithmetic is exact; sqrt(p) never appears outside the eta module.
 
 from __future__ import annotations
 
+import re
 from operator import attrgetter
 
 from .errors import (
@@ -84,13 +85,21 @@ def _product(m1: tuple, m2: tuple) -> tuple[int, int, int, int]:
     return a1 * a2 + b1 * c2, a1 * b2 + b1 * d2, c1 * a2 + d1 * c2, c1 * b2 + d1 * d2
 
 
+def integer(text: str) -> int:
+    """int(text) for text matching [+-]?[0-9]+ whole, else ValueError;
+    int() alone would also take spaces, underscores and non-ASCII digits."""
+    if re.fullmatch(r"[+-]?[0-9]+", text) is None:
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def parse_integers(text: str, count: int | None = None, arg: str | None = None,
                    what: str = "comma-separated integers") -> tuple[int, ...]:
     """The integers of the comma-separated text, exactly count of them unless
     count is None; else ParseError "expected <what>, got <arg>", quoting arg,
     the whole argument as given (text by default)."""
     try:
-        values = tuple(int(part) for part in text.split(","))
+        values = tuple(integer(part) for part in text.split(","))
     except ValueError:
         values = None
     if values is None or count not in (None, len(values)):

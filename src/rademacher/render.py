@@ -4,36 +4,32 @@ Edges between finite vertices are semicircles on the real axis; edges to
 1/0 are vertical segments clipped at a height cap.  Finite vertices are
 labelled under the axis; 1/0, however often the path visits it, gets one
 label above the first edge, 1/0 -> 0/1, which is vertical at x = 0.  All
-geometry is exact Fraction arithmetic; pixel coordinates are formatted
-once, with 12 decimal places and round-half-even, so equal inputs give
-byte-identical output.
+geometry is exact Fraction arithmetic; each pixel coordinate is printed
+once, with 12 decimal places rounded half-even from its exact value, in
+integer arithmetic, so equal inputs give byte-identical output.
 """
 
 from __future__ import annotations
 
-from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
 from .errors import ParseError
 from .words import endpoints
 
-_QUANTUM = Decimal("1.000000000000")
+# str(int) refuses more digits than sys.get_int_max_str_digits(), which is
+# at least 640, so the integer part is printed in 600-digit chunks
+_CHUNK = 10**600
 
 
 def _fmt(x) -> str:
-    x = Fraction(x)
-    with localcontext() as ctx:
-        # the integer digits plus 12 decimals must fit, or quantize fails;
-        # below 2^150 (46 digits) the default of 60 digits does
-        bits = x.numerator.bit_length() - x.denominator.bit_length()
-        ctx.prec = 60 if bits < 150 else int((bits + 1) * 0.30103) + 14
-        d = (Decimal(x.numerator) / Decimal(x.denominator)).quantize(
-            _QUANTUM, rounding=ROUND_HALF_EVEN
-        )
-    if d == 0:
-        d = abs(d)  # never emit -0.000000000000
-    # str() would switch to exponent form below 1e-6
-    return format(d, "f")
+    """x to 12 decimals, rounded half-even from its exact value."""
+    units = round(Fraction(x) * 10**12)  # Fraction.__round__ is exact half-even
+    whole, part = divmod(abs(units), 10**12)
+    chunks = []
+    while whole >= _CHUNK:
+        whole, low = divmod(whole, _CHUNK)
+        chunks.append(f"{low:0600d}")
+    return f"{'-' if units < 0 else ''}{whole}{''.join(reversed(chunks))}.{part:012d}"
 
 
 class RenderOptions:

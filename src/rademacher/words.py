@@ -33,19 +33,18 @@ MAX_WORD_LETTERS = 10**6  # longest descent decompose runs before refusing
 
 
 class Farey(_Value):
-    """Reduced fraction n/d with d >= 0; d = 0 only for n = +-1 (infinity)."""
+    """Reduced fraction n/d with d >= 0; d = 0 only for 1/0."""
 
     __slots__ = ("n", "d")
 
     def __init__(self, n: int, d: int):
-        if n == 0 and d == 0:
-            raise ParseError("0/0 is not a vertex")
         g = gcd(n, d)
-        n, d = n // g, d // g
-        if d < 0:
-            n, d = -n, -d
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "d", d)
+        if g == 0:
+            raise ParseError("0/0 is not a vertex")
+        if d < 0 or d == 0 and n < 0:  # d > 0, or d = 0 and n = 1
+            g = -g
+        object.__setattr__(self, "n", n // g)
+        object.__setattr__(self, "d", d // g)
 
     @property
     def is_infinity(self) -> bool:
@@ -125,17 +124,11 @@ def endpoints_signed(word) -> list[tuple[int, int]]:
 def endpoints(word) -> list[Farey]:
     """Vertex sequence of the based edge path, canonicalized.
 
-    k + 2 vertices for a length-k word; denominators are emitted
-    non-negative with infinity written 1/0.  The Farey constructor performs
-    the normalization (columns of unimodular matrices are already reduced).
+    k + 2 vertices for a length-k word; the Farey constructor makes each
+    denominator non-negative and every visit to infinity 1/0 (columns of
+    unimodular matrices are already reduced).
     """
-    out = []
-    for n, d in endpoints_signed(word):
-        if d == 0:
-            out.append(INFINITY)
-        else:
-            out.append(Farey(n, d))
-    return out
+    return [Farey(n, d) for n, d in endpoints_signed(word)]
 
 
 def turns_from_endpoints(pts) -> EdgeWord:

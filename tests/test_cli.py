@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from rademacher.dedekind import rademacher_phi
 from rademacher.fricke import phi_p
 from rademacher.inertia import km_phi
 from rademacher.matrices import FrickeElement, parse_matrix
+from rademacher.render import render_svg
 from rademacher.words import decompose, endpoints
 
 GOLDEN = Path(__file__).parent / "golden" / "figure_path.svg"
@@ -326,6 +328,63 @@ def test_render_huge_and_tiny_options(capsys):
     # Fraction("1e999999999") would build the whole power of ten
     code, payload = run_json(capsys, ["render", "--word=2", "--height-cap=1e999999999"])
     assert code == 2 and payload["error"]["code"] == "parse"
+
+
+def test_render_rounds_a_near_tie_half_even(capsys):
+    # scale 1 px per unit puts the 0/1 line at x = 5e-13 + 1e-80, just
+    # above the tie between 0.000000000000 and 0.000000000001
+    x_min = -Fraction(5 * 10**67 + 1, 10**80)
+    assert run(["render", "--word=", f"--x-min={x_min}", f"--x-max={800 + x_min}"]) == 0
+    svg = capsys.readouterr().out
+    assert '<line x1="0.000000000001" y1=' in svg and "0.000000000000" not in svg
+
+
+def test_render_defaults_live_in_render_options(capsys):
+    assert run(["render", "--word=-2,1,-2", "--width-px", "800", "--height-px", "560",
+                "--stroke-width", "3/2", "--font-size", "14"]) == 0
+    explicit = capsys.readouterr().out
+    assert run(["render", "--word=-2,1,-2"]) == 0
+    assert capsys.readouterr().out == explicit == render_svg((-2, 1, -2)).decode("ascii")
+
+
+def test_verify_theorem1_help_describes_the_element_flags(capsys):
+    assert run(["verify-theorem1", "--help"]) == 0
+    help_text = capsys.readouterr().out
+    assert "odd prime level" in help_text and "coset element" in help_text
+
+
+@pytest.mark.parametrize("argv", [
+    ["phi", "--matrix=1_0,1,9,1"],  # int() reads (10, 1; 9, 1), phi -5
+    ["phi", "--matrix=\u0661,0,0,\u0661"],  # Arabic-Indic ones
+    ["phi", "--matrix= 1,1,0,1"],
+    ["endpoints", "--word=1_0"],
+    ["endpoints", "--word= "],
+    ["km", "--word=2, -1"],
+    ["render", "--word=1_0"],
+    ["phi-p", "--fricke=5_0:0,-1,1,0"],
+])
+def test_integers_outside_the_grammar_are_parse_errors(capsys, argv):
+    code, payload = run_json(capsys, argv)
+    assert code == 2 and payload["error"]["code"] == "parse"
+
+
+@pytest.mark.parametrize("argv", [
+    ["phi-p", "--p", "1_1", "--matrix", "1,0,11,1"],
+    ["phi-p", "--p= 5", "--matrix", "1,0,5,1"],
+    ["verify-eta", "--matrix=3,1,8,3", "--z=0.3,0.5", "--precision=6_0"],
+    ["render", "--word=2", "--width-px=8_00"],
+    ["render", "--word=2", "--height-px=\u0665\u0666\u0660"],  # Arabic-Indic 560
+])
+def test_integer_flags_outside_the_grammar_are_usage_errors(capsys, argv):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "invalid integer value" in captured.err
+
+
+def test_signed_integers_are_read(capsys):
+    assert run_json(capsys, ["endpoints", "--word=+2"]) == run_json(capsys, ["endpoints", "--word=2"])
+    code, payload = run_json(capsys, ["phi-p", "--p=+5", "--matrix=+1,-0,+5,1"])
+    assert code == 0 and payload == {"phi_p": "0"}
 
 
 @pytest.mark.parametrize("tolerance", ["junk", "nan", ""])

@@ -118,6 +118,18 @@ def test_parse_matrix():
         parse_matrix("a,b,c,d")
     with pytest.raises(DeterminantError):
         parse_matrix("1,2,3,4")
+    assert parse_matrix("+3,1,+8,3") == UnimodularMatrix(3, 1, 8, 3)
+
+
+@pytest.mark.parametrize("text", [
+    "1_0,1,9,1",  # int() reads 1_0 as 10
+    "\u0661,0,0,\u0661",  # Arabic-Indic digits
+    " 1,1,0,1", "1,1,0,1 ", "1, 1,0,1", "1,1,0,1\n", "1,+-1,0,1", "1,1,0,-", "1,1,0,0x1",
+    "1" + "0" * 4300 + ",0,0,1",  # beyond Python's 4300-digit int()
+])
+def test_parse_matrix_refuses_text_outside_the_integer_grammar(text):
+    with pytest.raises(ParseError):
+        parse_matrix(text)
 
 
 def test_fricke_construction():
@@ -241,6 +253,8 @@ def test_parse_fricke():
         parse_fricke("5:1,2,3")
     with pytest.raises(DeterminantError):
         parse_fricke("5:1,1,1,1")
+    with pytest.raises(ParseError):
+        parse_fricke("5_0:0,-1,1,0")
 
 
 def test_str_forms(rng):

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -85,6 +87,40 @@ def test_all_ascii_and_fixed_places():
 ])
 def test_fmt_tiny_values_stay_fixed_point(x, text):
     assert _fmt(x) == text
+
+
+@pytest.mark.parametrize("x, text", [
+    # just above and just below a tie, the ties themselves, signs
+    (Fraction(5, 10**13) + Fraction(1, 10**80), "0.000000000001"),
+    (Fraction(15, 10**13) - Fraction(1, 10**75), "0.000000000001"),
+    (Fraction(5, 10**13), "0.000000000000"),
+    (Fraction(15, 10**13), "0.000000000002"),
+    (-(Fraction(5, 10**13) + Fraction(1, 10**80)), "-0.000000000001"),
+    (Fraction(-1, 10**20), "0.000000000000"),
+    # above 2^150: 22517775512654521469689639024228784140263439306.2817558022734681...
+    (Fraction(8496159360904164841207128010592738315178658021213863, 377309),
+     "22517775512654521469689639024228784140263439306.281755802273"),
+    # more integer digits than str(int) allows
+    (Fraction(10**5000) + Fraction(1, 3), "1" + "0" * 5000 + ".333333333333"),
+    (-7 * Fraction(10**1200) - Fraction(2, 3), "-7" + "0" * 1200 + ".666666666667"),
+])
+def test_fmt_rounds_half_even_from_the_exact_value(x, text):
+    assert _fmt(x) == text
+
+
+def test_render_corpus_digest():
+    # every word of length <= 4 over [-3, 3] under three option sets, 8403
+    # renders: the bytes a change to the renderer must leave as they are
+    options = (RenderOptions(), RenderOptions(label_vertices=False),
+               RenderOptions(x_min=Fraction(-1), height_cap=Fraction(1, 3)))
+    digest = hashlib.sha256()
+    for k in range(5):
+        for word in itertools.product(range(-3, 4), repeat=k):
+            for opts in options:
+                digest.update(render_svg(word, opts))
+    assert digest.hexdigest() == (
+        "f2ca5c2260dd8c337097dec088ae16c1853109572cdc87733c9a6f7695075d5e"
+    )
 
 
 def test_tiny_x_min_keeps_fixed_places():

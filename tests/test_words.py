@@ -37,6 +37,10 @@ def test_farey_normalization():
     assert Farey(0, -7) == Farey(0, 1)
     assert str(Farey(3, 8)) == "3/8"
     assert Farey(1, 0).is_infinity and Farey(-1, 0).is_infinity
+    # one 1/0, whatever sign or multiple the pair carries
+    assert Farey(-1, 0) == Farey(3, 0) == INFINITY
+    assert hash(Farey(-1, 0)) == hash(Farey(3, 0)) == hash(INFINITY)
+    assert str(Farey(-1, 0)) == "1/0" and Farey(-5, 0).n == 1
     with pytest.raises(ParseError):
         Farey(0, 0)
 
