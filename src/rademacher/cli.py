@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -25,6 +26,9 @@ from .words import decompose, endpoints
 DEFAULT_TOLERANCE = "1e-40"
 # render's rational flags: the 4300-digit ceiling Python puts on int("...")
 FRACTION_MAX_EXPONENT = 4300
+# p/q or a decimal, ASCII digits only as in matrices.integer; group 1 is
+# the exponent
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+|(?:\.[0-9]+)?(?:[eE]([+-]?[0-9]+))?)")
 
 
 def _parse_word(text: str) -> tuple[int, ...]:
@@ -47,18 +51,16 @@ def _parse_z(text: str, prec: int):
 
 
 def _parse_fraction(text: str) -> Fraction:
-    # Fraction("1e999999999") would build that power of ten exactly
-    _, e, exponent = text.strip().lower().rpartition("e")
+    # Fraction() alone would take padding, _ and non-ASCII digits, and would
+    # build 10**exponent exactly however large
+    match = _RATIONAL.fullmatch(text)
     try:
-        huge = bool(e) and abs(int(exponent)) > FRACTION_MAX_EXPONENT
-    except ValueError:
-        huge = False  # not an exponent; Fraction below decides
-    if huge:
-        raise ParseError(f"exponent beyond {FRACTION_MAX_EXPONENT} in {text!r}")
-    try:
+        if match is None or abs(int(match[1] or 0)) > FRACTION_MAX_EXPONENT:
+            raise ValueError(text)
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"expected a rational number, got {text!r}") from exc
+        raise ParseError(f"expected p/q or a decimal with an exponent of at most "
+                         f"{FRACTION_MAX_EXPONENT}, got {text!r}") from exc
 
 
 def _fricke_arg(args) -> FrickeElement:

@@ -10,8 +10,9 @@ and the Rademacher symbol of (a, b; c, d) in SL2(Z) is
     Phi = b/d                                   if c = 0,
     Phi = (a + d)/c - 12 sgn(c) s(d, |c|)       otherwise,
 
-which is always an integer (asserted, never rounded).  Both are evaluated
-by the reciprocity descent; the literal sum is a test oracle.
+which is always an integer (a remainder is raised as ArithmeticError,
+never rounded).  Both go through the integer 12 k s(h, k) in closed form;
+the literal sum is a test oracle.
 """
 
 from __future__ import annotations
@@ -20,38 +21,49 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import NotCoprimeError
-from .matrices import UnimodularMatrix, sgn
+from .matrices import UnimodularMatrix
 
 
-def _check_pair(h: int, k: int) -> None:
+def _sigma(h: int, k: int) -> int:
+    """12 k s(h, k), an integer, for k >= 1 and gcd(h, k) = 1.
+
+    The closed form of Barkan, Hickerson and Knuth (Hickerson, J. Reine
+    Angew. Math. 290 (1977); Knuth, Acta Arith. 33 (1977)).  Run the
+    Euclidean chain r_0 = k, r_1 = h mod k, r_{i+1} = r_{i-1} - q_i r_i down
+    to r_n = 1.  Reciprocity s(h, k) + s(k, h) = -1/4 + (h/k + k/h +
+    1/(hk))/12 with s(r_{i-1}, r_i) = s(r_{i+1}, r_i) and s(0, 1) = 0 sums
+    s(h, k) as sum_i (-1)^(i+1) of (-1/4 + (r_{i-1}/r_i + r_i/r_{i-1} +
+    1/(r_{i-1} r_i))/12).  As r_{i-1}/r_i = q_i + r_{i+1}/r_i, the ratios
+    telescope to sum (-1)^(i+1) q_i + r_1/k.  With y_0 = 0, y_1 = 1,
+    y_{i+1} = y_{i-1} + q_i y_i, induction gives y_i r_{i-1} + y_{i-1} r_i
+    = k and y_i h = (-1)^(i+1) r_i mod k, so the k/(r_{i-1} r_i) =
+    y_i/r_i + y_{i-1}/r_{i-1} telescope to (-1)^(n+1) y_n, which is
+    h' = h^-1 mod k for n odd and h' - k for n even (0 < y_n <= k).  So
+
+        12 k s(h, k) = k sum (-1)^(i+1) q_i + r_1 + h' - (3k if n odd else k),
+
+    and 0 for h = 0 mod k: O(log k) steps on integers no larger than k.
+    """
+    h %= k
+    if not h:
+        return 0
+    r0, r1, alternating, sign = k, h, 0, 1
+    while r1:
+        q, r = divmod(r0, r1)
+        alternating += sign * q
+        sign = -sign
+        r0, r1 = r1, r
+    # sign is (-1)^n now
+    return k * alternating + h + pow(h, -1, k) - (3 * k if sign < 0 else k)
+
+
+def dedekind_sum(h: int, k: int) -> Fraction:
+    """s(h, k) in closed form, O(log k) integer steps."""
     if k <= 0:
         raise NotCoprimeError(f"k must be positive, got {k}")
     if gcd(h, k) != 1:
         raise NotCoprimeError(f"gcd({h}, {k}) != 1")
-
-
-def _descent(h: int, k: int) -> tuple[int, int]:
-    """s(h, k) as an unreduced integer pair (num, den).
-
-    Reciprocity s(h,k) + s(k,h) = -1/4 + (h^2 + k^2 + 1)/(12hk) plus
-    periodicity s(k, h) = s(k mod h, h) walk the pair down the Euclidean
-    algorithm; the base case s(0, 1) = 0 is forced by coprimality.
-    """
-    h %= k
-    num, den, sign = 0, 1, 1
-    while h:
-        step = 12 * h * k
-        num = num * step + sign * (h * h + k * k + 1 - 3 * h * k) * den
-        den *= step
-        sign = -sign
-        h, k = k % h, h
-    return num, den
-
-
-def dedekind_sum(h: int, k: int) -> Fraction:
-    """s(h, k) by the Euclidean descent, O(log k) integer steps."""
-    _check_pair(h, k)
-    return Fraction(*_descent(h, k))
+    return Fraction(_sigma(h, k), 12 * k)
 
 
 def rademacher_phi(g: UnimodularMatrix) -> int:
@@ -66,10 +78,9 @@ def _phi(a: int, b: int, c: int, d: int) -> int:
     if c == 0:
         # ad = 1 forces a = d = +-1, so b/d is the integer b*d
         return b * d
-    k = abs(c)
-    num, den = _descent(d % k, k)
-    t = (a + d) * den - 12 * sgn(c) * num * c
-    q, r = divmod(t, c * den)
+    if c < 0:  # Phi(-g) = Phi(g), as s(-d, k) = -s(d, k)
+        a, b, c, d = -a, -b, -c, -d
+    q, r = divmod(a + d - _sigma(d, c), c)
     if r:
         raise ArithmeticError(f"Phi of ({a}, {b}; {c}, {d}) produced a non-integer; this is a bug")
     return q

@@ -53,12 +53,6 @@ class WrongBaseEdgeError(DomainError):
     code = "wrong_base_edge"
 
 
-class WordTooLongError(DomainError):
-    """The edge word of a matrix would exceed MAX_WORD_LETTERS letters."""
-
-    code = "word_too_long"
-
-
 class ImaginaryPartError(DomainError):
     """Im(z) too small for the requested precision to be affordable."""
 

@@ -24,12 +24,10 @@ from __future__ import annotations
 
 from math import gcd
 
-from .errors import NotAnEdgeError, ParseError, WordTooLongError, WrongBaseEdgeError
+from .errors import NotAnEdgeError, ParseError, WrongBaseEdgeError
 from .matrices import UnimodularMatrix, _Value
 
 EdgeWord = tuple[int, ...]
-
-MAX_WORD_LETTERS = 10**6  # longest descent decompose runs before refusing
 
 
 class Farey(_Value):
@@ -69,36 +67,28 @@ def reconstruct(word) -> UnimodularMatrix:
 
 def decompose(g: UnimodularMatrix) -> EdgeWord:
     """A word w with reconstruct(w) = +-g.  Words are not unique; only PSL
-    equality of the reconstruction is promised, plus no interior zeros.
-    WordTooLongError past MAX_WORD_LETTERS letters."""
+    equality of the reconstruction is promised, plus no interior zeros."""
     return tuple(_descend(g.a, g.b, g.c, g.d))
 
 
 def _descend(a: int, b: int, c: int, d: int) -> list[int]:
     """The word of (a, b; c, d) as a list.
 
-    Peel C = S^{-1} g from the left by the Euclidean algorithm on the left
-    column (floor quotients); a residual T^m is closed with
-    T^m = (T^m S)(T^0 S).  Length grows linearly in the entries
-    (S (T^-2 S)^n = (n, n-1; n+1, n) takes n letters), so more than
-    MAX_WORD_LETTERS quotients raise WordTooLongError.
-
-    No interior zero can occur.  A step (a, c) -> (c, n c - a) with
-    n = floor(a / c) leaves c' = -(a mod c): opposite in sign to c and
-    smaller in size.  So every quotient after the first is
-    floor(c / c') <= -2, and the only zero letter besides a leading
-    quotient is the last one of the closing [m, 0].
+    Peel C = S^{-1} g from the left by the nearest-integer Euclidean
+    algorithm on the left column (Hurwitz); a residual T^m is closed with
+    T^m = (T^m S)(T^0 S).  A step (a, c) -> (c, n c - a) with
+    n = floor(a/c + 1/2) leaves |c'| = |c| |n - a/c| <= |c|/2.  The first c
+    is -a, so at most bitlen(|a|) steps run and the word has at most
+    bitlen(|a|) + 2 letters.  After the first step |a| >= 2 |c|, so every
+    later quotient has |n| >= 2: the only zero letters are a leading
+    quotient and the last one of the closing [m, 0].
     """
     a, b, c, d = c, d, -a, -b  # S^{-1} g
     word: list[int] = []
-    for _ in range(MAX_WORD_LETTERS):
-        if c == 0:
-            break
-        n = a // c
+    while c:
+        n = (2 * a + c) // (2 * c)
         word.append(n)
         a, b, c, d = c, d, n * c - a, n * d - b
-    if c != 0:
-        raise WordTooLongError(f"the edge word needs more than {MAX_WORD_LETTERS} letters")
     # upper triangular now: (e, f; 0, e) with e = +-1 is T^{e f} up to sign
     m = a * b
     if m != 0:

@@ -6,6 +6,7 @@ random.Random so every test is reproducible from its seed.
 """
 
 import random
+from math import gcd
 
 import pytest
 
@@ -58,6 +59,18 @@ def random_matrix(rng: random.Random, max_len: int = 6, cap: int = 4) -> Unimodu
     """Random element of SL2(Z), sign included (words only reach PSL2)."""
     m = reconstruct(random_word(rng, max_len=max_len, cap=cap))
     return -m if rng.random() < 0.5 else m
+
+
+def random_large_matrix(rng: random.Random, bits: int, c_factor: int = 1) -> UnimodularMatrix:
+    """Random element of SL2(Z) whose first column has entries of about
+    `bits` bits, with c a multiple of c_factor (c_factor = p gives
+    Gamma0(p)); b and d follow from d = a^-1 mod c."""
+    while True:
+        a = rng.getrandbits(bits) * rng.choice((-1, 1))
+        c = c_factor * rng.getrandbits(bits) * rng.choice((-1, 1))
+        if c and gcd(a, c) == 1:
+            d = pow(a, -1, abs(c))
+            return UnimodularMatrix(a, (a * d - 1) // c, c, d)
 
 
 def word_matrix_roundtrip(g: UnimodularMatrix) -> bool:

@@ -3,7 +3,7 @@
 Each one shares no code with the library routine it checks.
 
 sawtooth and dedekind_sum_literal evaluate the Dedekind sum from its
-definition, term by term; the library uses the reciprocity descent.
+definition, term by term; the library uses a closed form for 12 k s(h, k).
 
 inertia_elimination counts the inertia of the tridiagonal matrix of a
 word by symmetric elimination with rational pivots; the library reads it

@@ -199,7 +199,7 @@ def test_criterion_04_dedekind_oracles(announce):
     )
     dt = time.perf_counter() - t0
     ok = bad == 0 and recip_bad == 0 and closed_bad == 0
-    announce(4, ok, f"literal == descent on {pairs} pairs (k <= 400, |h| <= 400), "
+    announce(4, ok, f"literal == dedekind_sum on {pairs} pairs (k <= 400, |h| <= 400), "
                    f"reciprocity and s(1,k) closed form exact ({dt:.0f}s)")
 
 

@@ -47,12 +47,13 @@ def test_decompose_example(capsys):
     assert code == 0 and payload == {"word": [], "endpoints": ["1/0", "0/1"]}
 
 
-def test_decompose_word_too_long(capsys):
+def test_decompose_long_parabolic(capsys):
+    # S (T^-2 S)^n has a four-letter word for every n
     n = 10**13
-    code = run(["decompose", f"--matrix={n},{n - 1},{n + 1},{n}"])
-    lines = capsys.readouterr().out.splitlines()
-    assert code == 1 and len(lines) == 1
-    assert json.loads(lines[0])["error"]["code"] == "word_too_long"
+    code, payload = run_json(capsys, ["decompose", f"--matrix={n},{n - 1},{n + 1},{n}"])
+    assert code == 0 and payload["word"] == [-1, n, 1, 0]
+    assert payload["endpoints"] == ["1/0", "0/1", "1/1", f"{n}/{n + 1}", f"{n - 1}/{n}",
+                                    f"{n}/{n + 1}"]
 
 
 def test_endpoints_word_equals_form(capsys):
@@ -327,6 +328,13 @@ def test_render_huge_and_tiny_options(capsys):
     capsys.readouterr()
     # Fraction("1e999999999") would build the whole power of ten
     code, payload = run_json(capsys, ["render", "--word=2", "--height-cap=1e999999999"])
+    assert code == 2 and payload["error"]["code"] == "parse"
+
+
+@pytest.mark.parametrize("flag", ["--x-min=-\u0661", "--x-max= 3/2 ", "--stroke-width=1_0"])
+def test_rationals_outside_the_grammar_are_parse_errors(capsys, flag):
+    # Fraction() alone would take non-ASCII digits, padding and underscores
+    code, payload = run_json(capsys, ["render", "--word=2", flag])
     assert code == 2 and payload["error"]["code"] == "parse"
 
 

@@ -57,7 +57,7 @@ FLAGS = {
         st.sampled_from(("1,0,105,1", "1,1,105,106", f"1,0,{105 * M61},1", "-1,0,0,-1",
                          "3,1,8,3", "0,-1,1,0", "2,1,1,1"))
         | st.builds("1,{},0,1".format, junk)
-        # S (T^-2 S)^n: an edge word of n letters, past the cap at n = 10^13
+        # S (T^-2 S)^n, a four-letter word up to 13-digit entries
         | st.sampled_from((2, -3, 1000, 10**13)).map(lambda n: f"{n},{n - 1},{n + 1},{n}"),
         _joined(junk, (0, 5)),
     ),

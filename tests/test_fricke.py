@@ -1,13 +1,14 @@
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
-from conftest import fricke_identity
+from conftest import fricke_identity, psl_eq, random_large_matrix
 
 from rademacher import dedekind, inertia, words
 from rademacher.dedekind import rademacher_phi
-from rademacher.errors import NotOddPrimeError, WordTooLongError
+from rademacher.errors import NotOddPrimeError
 from rademacher.fricke import (
     _conjugate,
     k_of_p,
@@ -198,7 +199,7 @@ def test_routes_are_independent(monkeypatch):
     assert sum(e.q[2] != 0 for e in panel) > len(panel) // 2
 
     with monkeypatch.context() as patch:
-        _refuse_calls(patch, dedekind._descent, dedekind._phi, dedekind.rademacher_phi,
+        _refuse_calls(patch, dedekind._sigma, dedekind._phi, dedekind.rademacher_phi,
                       dedekind.dedekind_sum)
         assert [phi_p_geometric(e) for e in panel] == expected
 
@@ -208,12 +209,35 @@ def test_routes_are_independent(monkeypatch):
         assert [phi_p(e) for e in panel] == expected
 
 
-def test_phi_p_geometric_inherits_word_cap(monkeypatch):
-    # S (T^-2 S)^9 = (9, 8; 10, 9): a word of nine letters
+def test_phi_p_geometric_on_a_parabolic():
+    # S (T^-2 S)^9 = (9, 8; 10, 9), with the conjugate (9, 40; 2, 9)
     e = FrickeElement.gamma0(5, UnimodularMatrix(9, 8, 10, 9))
-    expected = phi_p(e)
-    assert phi_p_geometric(e) == expected
-    monkeypatch.setattr(words, "MAX_WORD_LETTERS", 5)
-    with pytest.raises(WordTooLongError):
-        phi_p_geometric(e)
-    assert phi_p(e) == expected
+    assert phi_p_geometric(e) == phi_p(e)
+
+
+def test_exact_layer_at_the_integer_ceiling():
+    # entries of 4,300 digits, the most the CLI's integer grammar reads: the
+    # sums, the symbol, the words and both level-p routes must stay O(log)
+    # integer steps there
+    start = time.perf_counter()
+    rng = random.Random(4300)
+    bits = (10**4299).bit_length()
+    g = random_large_matrix(rng, bits)
+    h, k = g.d % abs(g.c), abs(g.c)
+    assert dedekind.dedekind_sum(h, k) + dedekind.dedekind_sum(k, h) == (
+        Fraction(-1, 4) + Fraction(h * h + k * k + 1, 12 * h * k))
+    n = 10**4299 + 7
+    parabolic = UnimodularMatrix(n, n - 1, n + 1, n)
+    # s(n, n + 1) = -s(1, n + 1) = -n (n - 1) / (12 (n + 1)), so Phi = n
+    assert dedekind.dedekind_sum(n, n + 1) == Fraction(-n * (n - 1), 12 * (n + 1))
+    assert rademacher_phi(parabolic) == n
+    assert words.decompose(parabolic) == (-1, n, 1, 0)
+    for m in (g, parabolic):
+        w = words.decompose(m)
+        assert len(w) <= m.a.bit_length() + 2 and psl_eq(words.reconstruct(w), m)
+        assert words.turns_from_endpoints(words.endpoints(w)) == w
+        assert inertia.km_phi(w) == rademacher_phi(m)
+    e = FrickeElement.gamma0(5, random_large_matrix(rng, bits - 3, c_factor=5))
+    for x in (e, fricke_involution(5) * e):
+        assert phi_p_geometric(x) == phi_p(x)
+    assert time.perf_counter() - start < 20

@@ -6,6 +6,7 @@ from conftest import (
     is_edge,
     mat_of,
     psl_eq,
+    random_large_matrix,
     random_matrix,
     round_trip_matrices,
     word_matrix_roundtrip,
@@ -13,8 +14,7 @@ from conftest import (
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rademacher import words
-from rademacher.errors import NotAnEdgeError, ParseError, WordTooLongError, WrongBaseEdgeError
+from rademacher.errors import NotAnEdgeError, ParseError, WrongBaseEdgeError
 from rademacher.matrices import S, T, UnimodularMatrix, t_power
 from rademacher.words import (
     INFINITY,
@@ -86,24 +86,20 @@ def test_recurrence_is_sign_exact_random():
         assert endpoints_signed(w) == [(1, 0)] + [(m.a, m.c) for m in partials], w
 
 
-def _parabolic(n):
-    # S (T^-2 S)^n: the descent emits n quotients -2
-    return UnimodularMatrix(n, n - 1, n + 1, n)
-
-
-def test_decompose_word_cap(monkeypatch):
-    assert decompose(_parabolic(5)) == (-2,) * 5
-    monkeypatch.setattr(words, "MAX_WORD_LETTERS", 5)
-    assert decompose(_parabolic(5)) == (-2,) * 5
-    with pytest.raises(WordTooLongError):
-        decompose(_parabolic(6))
-
-
-def test_decompose_refuses_huge_words():
-    # 13-digit entries: a word of 10^13 letters, refused after 10^6 steps
-    with pytest.raises(WordTooLongError) as info:
-        decompose(_parabolic(10**13))
-    assert info.value.code == "word_too_long"
+def test_decompose_word_length_bound():
+    # nearest-integer quotients at least halve |c|: at most bitlen(|a|) + 2
+    # letters, the reconstruction is +-g and no letter inside is zero
+    rng = random.Random(4300)
+    for bits in [*range(1, 65), *range(100, 4001, 300), 4300]:
+        for _ in range(4):
+            g = random_large_matrix(rng, bits)
+            w = decompose(g)
+            assert len(w) <= g.a.bit_length() + 2, (bits, len(w))
+            assert psl_eq(reconstruct(w), g), bits
+            assert 0 not in w[1:-1], bits
+    # S (T^-2 S)^n = (n, n-1; n+1, n)
+    for n in (2, 3, 5, 1000, 10**13, -3, -10**13):
+        assert decompose(UnimodularMatrix(n, n - 1, n + 1, n)) == (-1, n, 1, 0), n
 
 
 def test_decompose_frozen():
