@@ -86,7 +86,7 @@ def test_recurrence_is_sign_exact_random():
         assert endpoints_signed(w) == [(1, 0)] + [(m.a, m.c) for m in partials], w
 
 
-def test_decompose_word_length_bound():
+def test_decompose_word_cap():
     # nearest-integer quotients at least halve |c|: at most bitlen(|a|) + 2
     # letters, the reconstruction is +-g and no letter inside is zero
     rng = random.Random(4300)
@@ -97,7 +97,11 @@ def test_decompose_word_length_bound():
             assert len(w) <= g.a.bit_length() + 2, (bits, len(w))
             assert psl_eq(reconstruct(w), g), bits
             assert 0 not in w[1:-1], bits
-    # S (T^-2 S)^n = (n, n-1; n+1, n)
+
+
+def test_decompose_refuses_huge_words():
+    # S (T^-2 S)^n = (n, n-1; n+1, n): a word of n letters in T^-2 S, which
+    # nearest-integer quotients never build; 13-digit n gets four letters
     for n in (2, 3, 5, 1000, 10**13, -3, -10**13):
         assert decompose(UnimodularMatrix(n, n - 1, n + 1, n)) == (-1, n, 1, 0), n
 
