@@ -24,11 +24,23 @@ from .render import RenderOptions, render_svg
 from .words import decompose, endpoints
 
 DEFAULT_TOLERANCE = "1e-40"
-# render's rational flags: the 4300-digit ceiling Python puts on int("...")
-FRACTION_MAX_EXPONENT = 4300
-# p/q or a decimal, ASCII digits only as in matrices.integer; group 1 is
+# at most this many digits in a number, the ceiling Python puts on
+# int("..."); render's rational flags also bound the exponent by it
+MAX_DIGITS = 4300
+# every non-integer number the CLI reads: p/q with q > 0, or a decimal such
+# as 5, -.5, 5. or 2.5e-3, a leading point followed by a nonzero digit
+# (mpmath fails on .0); ASCII digits only as in matrices.integer; group 1 is
 # the exponent
-_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+|(?:\.[0-9]+)?(?:[eE]([+-]?[0-9]+))?)")
+_RATIONAL = re.compile(
+    r"[+-]?(?:[0-9]+/0*[1-9][0-9]*|(?:[0-9]+(?:\.[0-9]*)?|\.0*[1-9][0-9]*)(?:[eE]([+-]?[0-9]+))?)")
+
+
+def _is_number(text: str, max_exponent: float = float("inf")) -> bool:
+    # the only gate before Fraction or mpmath reads CLI text: both would
+    # take padding, _ and non-ASCII digits, and fail on p/0
+    match = _RATIONAL.fullmatch(text)
+    return (match is not None and sum(map(str.isdigit, text)) <= MAX_DIGITS
+            and abs(int(match[1] or 0)) <= max_exponent)
 
 
 def _parse_word(text: str) -> tuple[int, ...]:
@@ -43,24 +55,18 @@ def _parse_z(text: str, prec: int):
     parts = text.split(",")
     if len(parts) != 2:
         raise ParseError(f"z must be re,im with decimal parts, got {text!r}")
-    try:
-        with mpmath.workdps(prec + GUARD_DIGITS):
-            return mpmath.mpc(mpmath.mpf(parts[0].strip()), mpmath.mpf(parts[1].strip()))
-    except ValueError as exc:
-        raise ParseError(f"could not read z from {text!r}") from exc
+    if not all(part in ("nan", "inf", "+inf", "-inf") or _is_number(part) for part in parts):
+        raise ParseError(f"could not read z from {text!r}")
+    with mpmath.workdps(prec + GUARD_DIGITS):
+        return mpmath.mpc(*map(mpmath.mpf, parts))
 
 
 def _parse_fraction(text: str) -> Fraction:
-    # Fraction() alone would take padding, _ and non-ASCII digits, and would
-    # build 10**exponent exactly however large
-    match = _RATIONAL.fullmatch(text)
-    try:
-        if match is None or abs(int(match[1] or 0)) > FRACTION_MAX_EXPONENT:
-            raise ValueError(text)
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    # Fraction() would build 10**exponent exactly however large
+    if not _is_number(text, max_exponent=MAX_DIGITS):
         raise ParseError(f"expected p/q or a decimal with an exponent of at most "
-                         f"{FRACTION_MAX_EXPONENT}, got {text!r}") from exc
+                         f"{MAX_DIGITS}, got {text!r}")
+    return Fraction(text)
 
 
 def _fricke_arg(args) -> FrickeElement:
@@ -169,30 +175,18 @@ def _run_endpoints(args):
 
 def _run_km(args):
     word = _parse_word(args.word)
-    trace = tridiag_trace(word)
-    signature = tridiag_signature(word)
+    trace, signature, phi = tridiag_trace(word), tridiag_signature(word), km_phi(word)
     return (
-        {"word": list(word), "trace": trace, "signature": signature,
-         "phi": trace - 3 * signature},
-        [f"trace {trace}", f"signature {signature}", f"phi {trace - 3 * signature}"],
+        {"word": list(word), "trace": trace, "signature": signature, "phi": phi},
+        [f"trace {trace}", f"signature {signature}", f"phi {phi}"],
     )
-
-
-def _check_tolerance(text: str) -> None:
-    import mpmath
-
-    try:
-        ok = not mpmath.isnan(mpmath.mpf(text))
-    except ValueError:
-        ok = False
-    if not ok:
-        raise ParseError(f"tolerance must be a number, got {text!r}")
 
 
 def _run_verify(args):
     from . import eta
 
-    _check_tolerance(args.tolerance)
+    if not _is_number(args.tolerance):
+        raise ParseError(f"tolerance must be a number, got {args.tolerance!r}")
     prec = eta.DEFAULT_PRECISION if args.precision is None else args.precision
     if args.command == "verify-eta":
         g, verify = parse_matrix(args.matrix), eta.verify_eta_transform

@@ -27,9 +27,8 @@ from rademacher.cli import run
 from rademacher.dedekind import dedekind_sum, rademacher_phi
 from rademacher.eta import GUARD_DIGITS, verify_eta_transform, verify_theorem1
 from rademacher.fricke import phi_p, phi_p_geometric, random_gamma0
-from rademacher.inertia import km_phi, tridiag_signature, tridiag_trace
+from rademacher.inertia import km_phi
 from rademacher.matrices import (
-    T,
     FrickeElement,
     UnimodularMatrix,
     fricke_involution,

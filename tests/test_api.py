@@ -153,3 +153,24 @@ def test_no_assert_in_the_library():
         if isinstance(node, ast.Assert)
     ]
     assert len(list(package.rglob("*.py"))) > 5 and found == []
+
+
+def test_no_unused_import_in_the_library():
+    # an import that is never read is a decision stated twice or a dead
+    # dependency; the package re-exports its __all__ on purpose
+    package = Path(rademacher.__file__).parent
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {
+            (alias.asname or alias.name).partition(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        exempt = set(rademacher.__all__) if path.name == "__init__.py" else set()
+        found += [f"{path.name}:{name}" for name in sorted(imported - read - exempt)]
+    assert len(list(package.rglob("*.py"))) > 5 and found == []

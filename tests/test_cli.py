@@ -338,6 +338,38 @@ def test_rationals_outside_the_grammar_are_parse_errors(capsys, flag):
     assert code == 2 and payload["error"]["code"] == "parse"
 
 
+@pytest.mark.parametrize("z", [
+    "1_0,0.5",  # mpmath read 10 + 0.5i
+    "\u0661,0.5",  # an Arabic-Indic one
+    "0.3,0.5 ",
+    "0.3,1/0",  # ZeroDivisionError, reported as internal
+    ".0,0.5",  # mpmath cannot read .0
+    "0.3",
+    "0.3,0.5,1",
+])
+def test_z_outside_the_grammar_is_parse_error(capsys, z):
+    code, payload = run_json(capsys, ["verify-eta", "--matrix=3,1,8,3", f"--z={z}"])
+    assert code == 2 and payload["error"]["code"] == "parse"
+
+
+def test_numbers_at_the_edges_of_the_grammar_are_read(capsys):
+    argv = ["verify-eta", "--matrix=3,1,8,3", "--precision=30"]
+    assert run_json(capsys, argv + ["--z=.5,0.5"]) == run_json(capsys, argv + ["--z=0.5,0.5"])
+    assert run_json(capsys, argv + ["--z=0.5,5."]) == run_json(capsys, argv + ["--z=0.5,5"])
+    code, payload = run_json(capsys, argv + ["--z=0.3,0.5", "--tolerance=" + "9" * 4300])
+    assert code == 0 and payload["pass"] is True
+    assert run(["render", "--word=2", "--x-min=.5", "--x-max=3."]) == 0
+    short = capsys.readouterr().out
+    assert run(["render", "--word=2", "--x-min=0.5", "--x-max=3"]) == 0
+    assert capsys.readouterr().out == short
+
+
+@pytest.mark.parametrize("flag", ["--x-min=100", "--x-max=-100"])
+def test_render_one_edge_past_the_default_other_is_parse_error(capsys, flag):
+    code, payload = run_json(capsys, ["render", "--word=2", flag])
+    assert code == 2 and payload["error"]["code"] == "parse"
+
+
 def test_render_rounds_a_near_tie_half_even(capsys):
     # scale 1 px per unit puts the 0/1 line at x = 5e-13 + 1e-80, just
     # above the tie between 0.000000000000 and 0.000000000001
@@ -395,7 +427,10 @@ def test_signed_integers_are_read(capsys):
     assert code == 0 and payload == {"phi_p": "0"}
 
 
-@pytest.mark.parametrize("tolerance", ["junk", "nan", ""])
+@pytest.mark.parametrize("tolerance", [
+    "junk", "nan", "", " 1e-40", "1_0", "\u0661", "1/0", "inf",
+    pytest.param("9" * 4301, id="4301-digits"),  # more digits than mpmath reads
+])
 def test_bad_tolerance_is_parse_error(capsys, tolerance):
     code, payload = run_json(capsys, ["verify-eta", "--matrix=1,1,0,1", "--z=0.1,1",
                                       f"--tolerance={tolerance}"])

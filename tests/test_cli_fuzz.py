@@ -27,7 +27,8 @@ ERROR_CODES = {
 M61 = 2**61 - 1
 HUGE = ("1" + "0" * 70, str(M61), "-" + "9" * 400, "9" * 5000, "1e400", "-1e400",
         "1e-400", "1e999999999")
-SPECIAL = ("", "nan", "inf", "-inf", "-0", "+7", " 3", "1_000", "3/2", "0x10", "1.5")
+SPECIAL = ("", "nan", "inf", "-inf", "-0", "+7", " 3", "1_000", "3/2", "0x10", "1.5", "1/0",
+           "\u0661")
 
 small_int = st.integers(-50, 50).map(str)
 junk = st.one_of(

@@ -17,7 +17,6 @@ from rademacher.fricke import (
     random_gamma0,
 )
 from rademacher.matrices import (
-    COSET,
     GAMMA0,
     T,
     FrickeElement,

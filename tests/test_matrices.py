@@ -260,6 +260,7 @@ def test_parse_fricke():
 def test_str_forms(rng):
     assert str(UnimodularMatrix(3, 1, 8, 3)) == "3,1,8,3"
     assert str(fricke_involution(5)) == "5:0,-1,1,0"
+    assert str(FrickeElement.gamma0(5, T)) == "5|1,1,0,1"
     m = random_matrix(rng)
     assert parse_matrix(str(m)) == m
 
