@@ -11,7 +11,7 @@ from .errors import DomainError, ParseError
 from .fricke import phi_p, phi_p_geometric, random_gamma0
 from .inertia import km_phi
 from .matrices import FrickeElement, UnimodularMatrix, fricke_involution, parse_fricke, parse_matrix
-from .render import RenderOptions, render_svg
+from .render import render_svg
 from .words import Farey, decompose, endpoints, endpoints_signed, reconstruct, turns_from_endpoints
 
 __version__ = "0.1.0"
@@ -21,7 +21,6 @@ __all__ = [
     "Farey",
     "FrickeElement",
     "ParseError",
-    "RenderOptions",
     "UnimodularMatrix",
     "VerificationReport",
     "decompose",

@@ -20,7 +20,7 @@ from .errors import DomainError, ParseError
 from .fricke import phi_p
 from .inertia import km_phi, tridiag_signature, tridiag_trace
 from .matrices import FrickeElement, integer, parse_fricke, parse_integers, parse_matrix
-from .render import RenderOptions, render_svg
+from .render import render_svg
 from .words import decompose, endpoints
 
 DEFAULT_TOLERANCE = "1e-40"
@@ -199,14 +199,13 @@ def _run_verify(args):
 
 
 def _run_render(args):
-    # RenderOptions holds the defaults, so it gets only the flags given
+    # render_svg holds the defaults, so it gets only the flags given
     fractions = ("x_min", "x_max", "height_cap", "stroke_width", "font_size")
     given = {name: _parse_fraction(getattr(args, name)) for name in fractions
              if getattr(args, name) is not None}
     given.update((name, getattr(args, name)) for name in ("width_px", "height_px")
                  if getattr(args, name) is not None)
-    opts = RenderOptions(**given, label_vertices=not args.no_labels)
-    data = render_svg(_parse_word(args.word), opts)
+    data = render_svg(_parse_word(args.word), **given, label_vertices=not args.no_labels)
     if args.out is not None:
         with open(args.out, "wb") as handle:
             handle.write(data)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from rademacher.errors import ParseError
-from rademacher.render import RenderOptions, _fmt, render_svg
+from rademacher.render import _fmt, render_svg
 
 GOLDEN = Path(__file__).parent / "golden" / "figure_path.svg"
 
@@ -18,9 +18,9 @@ def test_golden_figure_path():
 
 
 def test_byte_determinism():
-    opts = RenderOptions(x_min=Fraction(-1, 2), x_max=Fraction(1), height_cap=Fraction(2, 3))
-    a = render_svg((-2, 1, -2), opts)
-    b = render_svg((-2, 1, -2), opts)
+    opts = dict(x_min=Fraction(-1, 2), x_max=Fraction(1), height_cap=Fraction(2, 3))
+    a = render_svg((-2, 1, -2), **opts)
+    b = render_svg((-2, 1, -2), **opts)
     assert a == b
     assert a != render_svg((-2, 1, -2))
 
@@ -66,7 +66,7 @@ def test_interior_infinity_vertical_edges():
 
 
 def test_no_labels():
-    svg = render_svg((2,), RenderOptions(label_vertices=False)).decode("ascii")
+    svg = render_svg((2,), label_vertices=False).decode("ascii")
     assert "<text" not in svg
 
 
@@ -111,13 +111,13 @@ def test_fmt_rounds_half_even_from_the_exact_value(x, text):
 def test_render_corpus_digest():
     # every word of length <= 4 over [-3, 3] under three option sets, 8403
     # renders: the bytes a change to the renderer must leave as they are
-    options = (RenderOptions(), RenderOptions(label_vertices=False),
-               RenderOptions(x_min=Fraction(-1), height_cap=Fraction(1, 3)))
+    options = ({}, dict(label_vertices=False),
+               dict(x_min=Fraction(-1), height_cap=Fraction(1, 3)))
     digest = hashlib.sha256()
     for k in range(5):
         for word in itertools.product(range(-3, 4), repeat=k):
             for opts in options:
-                digest.update(render_svg(word, opts))
+                digest.update(render_svg(word, **opts))
     assert digest.hexdigest() == (
         "f2ca5c2260dd8c337097dec088ae16c1853109572cdc87733c9a6f7695075d5e"
     )
@@ -125,8 +125,7 @@ def test_render_corpus_digest():
 
 def test_tiny_x_min_keeps_fixed_places():
     # a vertex at the left edge used to print as 0E-12
-    opts = RenderOptions(x_min=Fraction(-1, 10**4300), label_vertices=False)
-    svg = render_svg((2,), opts).decode("ascii")
+    svg = render_svg((2,), x_min=Fraction(-1, 10**4300), label_vertices=False).decode("ascii")
     for token in ("x1=", "y1=", "x2=", "y2="):
         for chunk in _attr_values(svg, token):
             assert "E" not in chunk and "e" not in chunk, chunk
@@ -148,16 +147,16 @@ def _attr_values(svg, key):
 
 def test_option_validation():
     with pytest.raises(ParseError):
-        RenderOptions(x_min=Fraction(1), x_max=Fraction(1))
+        render_svg((2,), x_min=Fraction(1), x_max=Fraction(1))
     with pytest.raises(ParseError):
-        RenderOptions(width_px=0)
+        render_svg((2,), width_px=0)
     with pytest.raises(ParseError):
-        RenderOptions(stroke_width=Fraction(0))
+        render_svg((2,), stroke_width=Fraction(0))
     with pytest.raises(ParseError):
-        RenderOptions(height_cap=Fraction(-1))
+        render_svg((2,), height_cap=Fraction(-1))
 
 
 def test_explicit_range_respected():
-    svg = render_svg((2,), RenderOptions(x_min=Fraction(-2), x_max=Fraction(2))).decode("ascii")
+    svg = render_svg((2,), x_min=Fraction(-2), x_max=Fraction(2)).decode("ascii")
     # scale 200 px per unit; vertex 0/1 sits at x = 400
     assert 'x1="400.000000000000"' in svg
