@@ -27,6 +27,10 @@ DEFAULT_TOLERANCE = "1e-40"
 # at most this many digits in a number, the ceiling Python puts on
 # int("..."); render's rational flags also bound the exponent by it
 MAX_DIGITS = 4300
+# the exponent bound of --z and --tolerance: mpmath reads an exponent in
+# time quadratic in its digits, and 10^5 still reaches point_too_large
+# (--z=0.1,1e5000) and residuals far below 1e-4300
+MAX_EXPONENT = 10**5
 # every non-integer number the CLI reads: p/q with q > 0, or a decimal such
 # as 5, -.5, 5. or 2.5e-3, a leading point followed by a nonzero digit
 # (mpmath fails on .0); ASCII digits only as in matrices.integer; group 1 is
@@ -35,7 +39,7 @@ _RATIONAL = re.compile(
     r"[+-]?(?:[0-9]+/0*[1-9][0-9]*|(?:[0-9]+(?:\.[0-9]*)?|\.0*[1-9][0-9]*)(?:[eE]([+-]?[0-9]+))?)")
 
 
-def _is_number(text: str, max_exponent: float = float("inf")) -> bool:
+def _is_number(text: str, max_exponent: int) -> bool:
     # the only gate before Fraction or mpmath reads CLI text: both would
     # take padding, _ and non-ASCII digits, and fail on p/0
     match = _RATIONAL.fullmatch(text)
@@ -55,7 +59,8 @@ def _parse_z(text: str, prec: int):
     parts = text.split(",")
     if len(parts) != 2:
         raise ParseError(f"z must be re,im with decimal parts, got {text!r}")
-    if not all(part in ("nan", "inf", "+inf", "-inf") or _is_number(part) for part in parts):
+    if not all(part in ("nan", "inf", "+inf", "-inf") or _is_number(part, MAX_EXPONENT)
+               for part in parts):
         raise ParseError(f"could not read z from {text!r}")
     with mpmath.workdps(prec + GUARD_DIGITS):
         return mpmath.mpc(*map(mpmath.mpf, parts))
@@ -63,7 +68,7 @@ def _parse_z(text: str, prec: int):
 
 def _parse_fraction(text: str) -> Fraction:
     # Fraction() would build 10**exponent exactly however large
-    if not _is_number(text, max_exponent=MAX_DIGITS):
+    if not _is_number(text, MAX_DIGITS):
         raise ParseError(f"expected p/q or a decimal with an exponent of at most "
                          f"{MAX_DIGITS}, got {text!r}")
     return Fraction(text)
@@ -185,7 +190,7 @@ def _run_km(args):
 def _run_verify(args):
     from . import eta
 
-    if not _is_number(args.tolerance):
+    if not _is_number(args.tolerance, MAX_EXPONENT):
         raise ParseError(f"tolerance must be a number, got {args.tolerance!r}")
     prec = eta.DEFAULT_PRECISION if args.precision is None else args.precision
     if args.command == "verify-eta":

@@ -122,20 +122,31 @@ def _nstr(x, n: int) -> str:
         return mpmath.nstr(+x, n)
 
 
-def _upper_half_plane_point(z):
-    """z as an mpc; NotUpperHalfPlaneError unless both parts are finite
-    and Im z > 0.  Runs before anything converts z to a float."""
-    z = mpmath.mpc(z)
-    if not (mpmath.isfinite(z.real) and mpmath.isfinite(z.imag)) or z.imag <= 0:
-        raise NotUpperHalfPlaneError(
-            f"z = {_nstr(z, 8)} is not a finite point with Im(z) > 0"
+def _check_imaginary_part(z, prec: int) -> None:
+    """ImaginaryPartError if Im z < Y_MIN, before any series runs at z."""
+    y = z.imag
+    if float(y) < Y_MIN:
+        # summands until |q|^e < 10^-digits: e ~ 3 n^2 / 2 = digits log 10 / (2 pi y)
+        est = 2 * mpmath.sqrt((prec + GUARD_DIGITS) * mpmath.log(10) / (3 * mpmath.pi * y)) + 1
+        shown = str(int(est)) if est < 1e15 else _nstr(est, 3)
+        raise ImaginaryPartError(
+            f"Im(z) = {_nstr(y, 8)} below threshold {Y_MIN}; the "
+            f"pentagonal series would need about {shown} terms"
         )
+
+
+def _checked_point(z, prec: int):
+    """z as an mpc at prec + GUARD_DIGITS digits; NotUpperHalfPlaneError
+    unless both parts are finite and Im z > 0 (before anything converts z
+    to a float), then _check_imaginary_part."""
+    with mpmath.workdps(prec + GUARD_DIGITS):
+        z = mpmath.mpc(z)
+        if not (mpmath.isfinite(z.real) and mpmath.isfinite(z.imag)) or z.imag <= 0:
+            raise NotUpperHalfPlaneError(
+                f"z = {_nstr(z, 8)} is not a finite point with Im(z) > 0"
+            )
+        _check_imaginary_part(z, prec)
     return z
-
-
-def _pentagonal_terms(y, digits: int):
-    # summands until |q|^e < 10^-digits: e ~ 3 n^2 / 2 = digits log 10 / (2 pi y)
-    return 2 * mpmath.sqrt(digits * mpmath.log(10) / (3 * mpmath.pi * y)) + 1
 
 
 def _float_log_product(x: float, y: float) -> complex:
@@ -260,18 +271,11 @@ def _log_eta_eval(z, prec: int, magnitude: int = 0) -> _LogEta:
     """log eta(z) to 10^-prec with its truncation data; see the module
     docstring for the three stages.  magnitude digits are carried on top
     of the guard digits throughout (see _guarded_points).  The caller has
-    checked prec."""
+    checked prec and z (_checked_point)."""
     digits = prec + GUARD_DIGITS
     with mpmath.workdps(digits + magnitude):
-        z = _upper_half_plane_point(z)
+        z = mpmath.mpc(z)
         y = z.imag
-        if float(y) < Y_MIN:
-            est = _pentagonal_terms(y, digits)
-            shown = str(int(est)) if est < 1e15 else _nstr(est, 3)
-            raise ImaginaryPartError(
-                f"Im(z) = {_nstr(y, 8)} below threshold {Y_MIN}; the "
-                f"pentagonal series would need about {shown} terms"
-            )
         # q has period 1 in Re z, so a huge Re z costs nothing below
         x = mpmath.frac(z.real)
         y_capped = min(y, _Y_FLOAT_CAP)
@@ -295,7 +299,7 @@ def _log_eta_eval(z, prec: int, magnitude: int = 0) -> _LogEta:
 def log_eta(z, prec: int = DEFAULT_PRECISION):
     """Principal-series logarithm of eta(z) for Im(z) >= Y_MIN."""
     check_precision(prec)
-    return _log_eta_eval(z, prec).value
+    return _log_eta_eval(_checked_point(z, prec), prec).value
 
 
 def _log_eta_p_eval(p: int, z, prec: int, magnitude: int = 0) -> _LogEta:
@@ -318,7 +322,8 @@ def log_eta_p(p: int, z, prec: int = DEFAULT_PRECISION):
     NotOddPrimeError unless p is an odd prime."""
     check_odd_prime(p)
     check_precision(prec)
-    return _log_eta_p_eval(p, z, prec).value
+    # Im(p z) = p Im z needs no check of its own
+    return _log_eta_p_eval(p, _checked_point(z, prec), prec).value
 
 
 def eta_p_branch_ratio(p: int, z, prec: int = DEFAULT_PRECISION):
@@ -383,10 +388,7 @@ class VerificationReport(NamedTuple):
 
 
 def _format_complex(v, digits: int) -> str:
-    # format inside a wide context; mpc() rounds to the current precision
-    with mpmath.workdps(digits + GUARD_DIGITS):
-        v = mpmath.mpc(v)
-        return f"{mpmath.nstr(v.real, digits)},{mpmath.nstr(v.imag, digits)}"
+    return f"{_nstr(v.real, digits)},{_nstr(v.imag, digits)}"
 
 
 def _moebius(a, b, c, d, z):
@@ -401,34 +403,38 @@ def _moebius(a, b, c, d, z):
 
 def _guarded_points(z, a, b, c, d, prec: int, p: int):
     """(z, g z, guard) for g = (a, b; c, d), both points carried at
-    prec + GUARD_DIGITS + guard digits.
+    prec + GUARD_DIGITS + guard digits and checked for the series.
 
     Both sides of the level-p law are as large as pi p |z| / 12 or
     pi p |g z| / 12 (its sides hold log eta(p z) and log eta(p g z); p = 1
     for the classical law).  So the residual is an absolute 10^-P
     certificate only if guard = max(0, ceil(log10(p max(|z|, |g z|))))
-    more digits are carried (the magnitude guard).
+    more digits are carried (the magnitude guard).  z is checked first,
+    then the magnitude, then Im(g z): all before any series runs.  The
+    points p z and p g z need no check, as Im(p z) = p Im z.
     """
     digits = prec + GUARD_DIGITS
+    w = _checked_point(z, prec)
     with mpmath.workdps(digits):
-        w = _upper_half_plane_point(z)
         gw = _moebius(a, b, c, d, w)
     # doubles hold the sizes well enough for a digit count, up to 1e308
     top = p * max(abs(complex(w)), abs(complex(gw)))
-    if top <= 1:
-        return w, gw, 0
     if top < math.inf:
-        guard = math.ceil(math.log10(top))
+        guard = math.ceil(math.log10(max(top, 1)))
     else:
-        guard = math.ceil(float(mpmath.log10(p * max(abs(w), abs(gw)))))
+        guard = int(mpmath.ceil(mpmath.log10(p * max(abs(w), abs(gw)))))
     if guard > MAGNITUDE_MAX_DIGITS:
+        shown = guard if guard < 1e15 else _nstr(mpmath.mpf(guard), 3)
         raise PointTooLargeError(
-            f"the sides of the law are about 10^{guard}, beyond "
+            f"the sides of the law are about 10^{shown}, beyond "
             f"10^{MAGNITUDE_MAX_DIGITS}; the check would carry that many extra digits"
         )
     with mpmath.workdps(digits + guard):
-        w = mpmath.mpc(z)
-        return w, _moebius(a, b, c, d, w), guard
+        if guard:
+            w = mpmath.mpc(z)
+            gw = _moebius(a, b, c, d, w)
+        _check_imaginary_part(gw, prec)
+    return w, gw, guard
 
 
 def _verify(p: int, m, det: int, phi, z, prec: int) -> VerificationReport:

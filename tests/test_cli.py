@@ -437,6 +437,17 @@ def test_bad_tolerance_is_parse_error(capsys, tolerance):
     assert code == 2 and payload["error"]["code"] == "parse"
 
 
+@pytest.mark.parametrize("flag", ["--z=0.1,1e", "--tolerance=1e-"])
+def test_long_exponent_is_parse_error_at_once(capsys, flag):
+    # mpmath reads an exponent in time quadratic in its digits: 4298 of
+    # them took half a minute.  A later --z replaces the first.
+    argv = ["verify-eta", "--matrix=3,1,8,3", "--z=0.3,0.5", flag + "9" * 4298]
+    start = time.perf_counter()
+    code, payload = run_json(capsys, argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and payload["error"]["code"] == "parse"
+
+
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     capsys.readouterr()

@@ -13,6 +13,7 @@ from rademacher.errors import (
     ImaginaryPartError,
     NotOddPrimeError,
     NotUpperHalfPlaneError,
+    PointTooLargeError,
     PrimeTooLargeError,
 )
 from rademacher.eta import (
@@ -138,6 +139,34 @@ def test_mapped_point_near_axis_is_too_small_not_off_plane():
         z = mpmath.mpc("0.3", "1e-400")
     with pytest.raises(ImaginaryPartError):
         verify_eta_transform(UnimodularMatrix(3, 1, 8, 3), z)
+
+
+@pytest.mark.parametrize("g, e, z", [
+    # Im z = 5e-4 is below Y_MIN, Im(g z) is not: the series at g z used
+    # to run first
+    (S, fricke_involution(5), ("0.3", "0.0005")),
+    # Im(g z) = 0.5 / 3461, below Y_MIN
+    (UnimodularMatrix(1, 0, 100, 1), FrickeElement.gamma0(5, UnimodularMatrix(1, 0, 100, 1)),
+     ("0.3", "0.5")),
+])
+def test_too_small_im_is_refused_before_any_series(monkeypatch, g, e, z):
+    calls = []
+    monkeypatch.setattr(eta, "_pentagonal_sum", lambda *args: calls.append(args))
+    with mp(50):
+        z = mpmath.mpc(*z)
+    with pytest.raises(ImaginaryPartError):
+        verify_eta_transform(g, z)
+    with pytest.raises(ImaginaryPartError):
+        verify_theorem1(e, z)
+    assert calls == []
+
+
+def test_point_beyond_the_double_range_is_too_large():
+    # log10 of the sides has 401 digits: a double cannot hold it
+    z = mpmath.mpc("0.1", mpmath.mpf("1e" + "9" * 400))
+    with pytest.raises(PointTooLargeError) as info:
+        verify_eta_transform(UnimodularMatrix(3, 1, 8, 3), z)
+    assert info.value.code == "point_too_large"
 
 
 def test_ambiguous_branch_raises(monkeypatch):
