@@ -43,8 +43,8 @@ That is O(sqrt(P / Im z)) multiplications and one Log, where the product
 formula needs O(P / Im z) Logs; the product survives as a test oracle.
 z must have finite parts and Im z > 0 (NotUpperHalfPlaneError, checked
 before any float conversion).  Points with Im z below Y_MIN are refused
-as too costly: the summands grow like sqrt(P / Im z) and the
-cancellation guard like 1 / Im z digits.
+before any series as too costly: the summands grow like sqrt(P / Im z)
+and the cancellation guard like 1 / Im z digits.
 
 Both sides of a transformation law are about as large as |z| and |g z|,
 p |z| and p |g z| for the level-p law, so the verify functions carry
