@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -59,8 +60,15 @@ def _parse_z(text: str, prec: int):
     parts = text.split(",")
     if len(parts) != 2:
         raise ParseError(f"z must be re,im with decimal parts, got {text!r}")
-    if not all(part in ("nan", "inf", "+inf", "-inf") or _is_number(part, MAX_EXPONENT)
-               for part in parts):
+
+    def readable(max_exponent) -> bool:
+        return all(part in ("nan", "inf", "+inf", "-inf") or _is_number(part, max_exponent)
+                   for part in parts)
+
+    if not readable(MAX_EXPONENT):
+        if readable(math.inf):
+            raise ParseError(f"could not read z from {text!r}: an exponent may be at "
+                             f"most {MAX_EXPONENT}")
         raise ParseError(f"could not read z from {text!r}")
     with mpmath.workdps(prec + GUARD_DIGITS):
         return mpmath.mpc(*map(mpmath.mpf, parts))
@@ -191,6 +199,9 @@ def _run_verify(args):
     from . import eta
 
     if not _is_number(args.tolerance, MAX_EXPONENT):
+        if _is_number(args.tolerance, math.inf):
+            raise ParseError(f"tolerance must be a number with an exponent of at most "
+                             f"{MAX_EXPONENT}, got {args.tolerance!r}")
         raise ParseError(f"tolerance must be a number, got {args.tolerance!r}")
     prec = eta.DEFAULT_PRECISION if args.precision is None else args.precision
     if args.command == "verify-eta":

@@ -58,6 +58,12 @@ The level-p function uses the additive branch
     log eta_p(z) = ( log eta(z) + log eta(p z) ) / 2,
 
 under which the transformation law holds pointwise with the symbol Phi_p.
+It evaluates that as one product, the paper's eta(z) eta(p z): q is
+formed once (one expjpi), q^p by binary powering in the same fixed point,
+the sums S(q) and S(q^p) are multiplied in fixed point, and one Log of
+S(q) S(q^p) gives log eta(z) + log eta(p z) - pi i (p + 1) z / 12, on the
+branch that the sum of the two float passes fixes.  Each sum keeps its
+own cancellation guard; _log_eta_p_eval carries the rounding budget.
 eta_p_branch_ratio measures how this branch relates to the principal
 2k-th root of Delta_p = eta^k(z) eta^k(p z): the ratio is a 2k-th root of
 unity, not always 1.
@@ -66,7 +72,8 @@ The level-p law is the classical one with log eta_p, Phi_p, and on the
 W_p coset the integer matrix sqrt(p) e of determinant p, so both verify
 functions are one call to _verify, which takes the level as a number:
 p = 1 is the classical law, whose log eta_p is log eta itself (one
-series per side, not two).  P outside [MIN_PRECISION, MAX_PRECISION] is
+series per side, where the level-p side has the two series of one
+product).  P outside [MIN_PRECISION, MAX_PRECISION] is
 refused once per public call, before any arithmetic at that precision.
 """
 
@@ -77,7 +84,7 @@ import math
 from typing import NamedTuple
 
 import mpmath
-from mpmath.libmp import from_man_exp, to_fixed
+from mpmath.libmp import dps_to_prec, from_man_exp, to_fixed
 
 from .dedekind import rademacher_phi
 from .errors import DomainError, ImaginaryPartError, NotUpperHalfPlaneError, PointTooLargeError
@@ -171,9 +178,26 @@ def _log_abs_fixed(re: int, im: int, bits: int) -> float:
     return math.log(math.hypot(re >> shift, im >> shift)) + (shift - bits) * _LOG2
 
 
-def _pentagonal_sum(w, y, log_abs_s_est: float, digits: int):
+def _stopping_test(y, log_abs_s_est: float, digits: int):
+    """(log|q|, log(1 - |q|), target, n_bits) for _pentagonal_sum at Im w = y:
+    it stops once the logarithm of its tail bound is below target, and
+    n_bits is the bit length of twice the summand count that test predicts
+    from log_abs_s_est."""
+    log_absq = -2 * math.pi * float(y)
+    log_tail_den = math.log(-math.expm1(log_absq))
+    target = -digits * math.log(10) - _LOG2
+    # the stopping test passes once e(n) > 3 n^2 / 2 exceeds this
+    need = (target + log_tail_den + log_abs_s_est) / log_absq
+    predicted = 2 * math.ceil(math.sqrt(max(0.0, 2 * need / 3))) + 1
+    return log_absq, log_tail_den, target, (2 * predicted).bit_length()
+
+
+def _pentagonal_sum(w, y, log_abs_s_est: float, digits: int, q=None):
     """Partial sum S_N of sum (-1)^n q^(n(3n-1)/2), q = e^(2 pi i w), with
-    |Log S - Log S_N| <= 10^-digits; returns (S_N, summands, bound).
+    |Log S - Log S_N| <= 10^-digits; returns ((re, im, F), summands, bound)
+    with S_N = (re + i im) 2^-F exactly.  The sum forms q from w once it
+    needs a term, unless q is given: then it is the pair (re, im) of q
+    over 2^F, within 2 units (see below), and w is not read.
 
     Tail after the terms +-n: exponents >= e = (n+1)(3n+2)/2, so at most
     t = |q|^e / (1 - |q|), and Log moves by at most -log(1 - t/|S_N|),
@@ -196,30 +220,21 @@ def _pentagonal_sum(w, y, log_abs_s_est: float, digits: int):
     is within alpha + beta + alpha beta eps + sqrt 2 <= alpha + beta + 2
     of xy while alpha beta eps <= 2 - sqrt 2, which holds below.  q comes
     from expjpi at F + 10 bits, within 2^-(F+10) times a few units, and
-    its truncation to F bits leaves it within 2 of q.  Then q^3 is
-    within 10; the step after n multiplications within 12 n - 10; q^n
-    within 4 n - 2; a within sum_{j<=n} (12 j - 8) = 6 n^2 - 2 n;
-    a (1 + q^n) = a + a q^n within 12 n^2; and S_n, summed exactly, within
-    sum_{j<=n} 12 j^2 = 2 n (n+1) (2n+1) = N (N^2 - 1) / 2 < N^3 / 2 for
-    N = 2 n + 1 summands.  guard is 3 times the bit length of twice the
-    summand count the stopping test predicts from log_abs_s_est, so
-    N^3 / 2 < 2^guard and S_N is within 2^-prec of the exact partial sum;
-    an N of 2^(guard/3) or more raises ArithmeticError.  S_N is returned
-    rounded to prec bits, within 2^-prec (1 + |S_N|) in all.  mpmath's mpc
-    sum carried 10^-working relative to each operation instead, so the
-    fixed point is no less accurate: near a cusp, where |S| ~ 1e-113, the
-    cancellation guard in prec still leaves digits + magnitude digits
-    relative to |S|.
+    its truncation to F bits leaves it within 2 of q (a q passed in is
+    within 2 as well).  Then q^3 is within 10; the step after n
+    multiplications within 12 n - 10; q^n within 4 n - 2; a within
+    sum_{j<=n} (12 j - 8) = 6 n^2 - 2 n; a (1 + q^n) = a + a q^n within
+    12 n^2; and S_n, summed exactly, within sum_{j<=n} 12 j^2 =
+    2 n (n+1) (2n+1) = N (N^2 - 1) / 2 < N^3 / 2 for N = 2 n + 1 summands.
+    guard is 3 n_bits (_stopping_test), so N^3 / 2 < 2^guard and S_N is
+    within 2^-prec of the exact partial sum; an N of 2^n_bits or more
+    raises ArithmeticError.  mpmath's mpc sum carried 10^-working relative
+    to each operation instead, so the fixed point is no less accurate:
+    near a cusp, where |S| ~ 1e-113, the cancellation guard in prec still
+    leaves digits + magnitude digits relative to |S|.
     """
-    log_absq = -2 * math.pi * float(y)
-    log_tail_den = math.log(-math.expm1(log_absq))
-    target = -digits * math.log(10) - _LOG2
-    # the stopping test passes once e(n) > 3 n^2 / 2 exceeds this
-    need = (target + log_tail_den + log_abs_s_est) / log_absq
-    predicted = 2 * math.ceil(math.sqrt(max(0.0, 2 * need / 3))) + 1
-    n_bits = (2 * predicted).bit_length()
-    prec = mpmath.mp.prec
-    bits = prec + 3 * n_bits
+    log_absq, log_tail_den, target, n_bits = _stopping_test(y, log_abs_s_est, digits)
+    bits = mpmath.mp.prec + 3 * n_bits
     sr, si = 1 << bits, 0
     n = 0
     while True:
@@ -230,9 +245,12 @@ def _pentagonal_sum(w, y, log_abs_s_est: float, digits: int):
             if log_u < target:
                 break
         if n == 0:
-            with mpmath.workprec(bits + 10):
-                qr, qi = mpmath.expjpi(2 * w)._mpc_
-            qr, qi = to_fixed(qr, bits), to_fixed(qi, bits)
+            if q is None:
+                with mpmath.workprec(bits + 10):
+                    qr, qi = mpmath.expjpi(2 * w)._mpc_
+                qr, qi = to_fixed(qr, bits), to_fixed(qi, bits)
+            else:
+                qr, qi = q
             q2r, q2i = (qr * qr - qi * qi) >> bits, (2 * qr * qi) >> bits
             q3r, q3i = (q2r * qr - q2i * qi) >> bits, (q2r * qi + q2i * qr) >> bits
             # the step q^(3n-2) = q^(e(n) - e(n-1)), a = q^e(n), e(n) = n(3n-1)/2
@@ -256,15 +274,53 @@ def _pentagonal_sum(w, y, log_abs_s_est: float, digits: int):
             f"{2 * n + 1} pentagonal summands; the fixed point was sized for "
             f"fewer than {1 << n_bits}"
         )
-    s = mpmath.mp.make_mpc(
-        (from_man_exp(sr, -bits, prec, "n"), from_man_exp(si, -bits, prec, "n"))
-    )
     sizes = abs(e * log_absq) + abs(log_tail_den) + abs(log_t - log_u) + abs(log_u)
     slack = (sizes + 100) * 2.0**-48
     with mpmath.workprec(64):
         u = mpmath.exp(log_u + slack)
         bound = u + u * u
-    return s, 2 * n + 1, bound
+    return (sr, si, bits), 2 * n + 1, bound
+
+
+def _fixed_power(qr: int, qi: int, p: int, bits: int):
+    """(qr + i qi)^p over 2^bits by left-to-right binary powering, each
+    product truncated as in _pentagonal_sum."""
+    rr, ri = qr, qi
+    for bit in bin(p)[3:]:
+        rr, ri = (rr * rr - ri * ri) >> bits, (2 * rr * ri) >> bits
+        if bit == "1":
+            rr, ri = (rr * qr - ri * qi) >> bits, (rr * qi + ri * qr) >> bits
+    return rr, ri
+
+
+def _fixed_mpc(re: int, im: int, bits: int):
+    """(re + i im) 2^-bits rounded to the working precision."""
+    prec = mpmath.mp.prec
+    return mpmath.mp.make_mpc(
+        (from_man_exp(re, -bits, prec, "n"), from_man_exp(im, -bits, prec, "n"))
+    )
+
+
+def _float_pass(x, y):
+    """(y capped, A, cancel) for the series at x + i y: the float pass
+    A = sum Log(1 - q^n) and the cancellation guard ceil(-log10 |S|) in
+    digits, at least 0."""
+    y_capped = min(y, _Y_FLOAT_CAP)
+    log_s_est = _float_log_product(float(x), float(y_capped))
+    return y_capped, log_s_est, max(0, math.ceil(-log_s_est.real / math.log(10)))
+
+
+def _branch(log_s, a_imag: float, z) -> int:
+    """The integer k = round((Im A - Im Log S) / 2 pi) that puts Log S on
+    the branch of the float pass A; ArithmeticError beyond a quarter turn."""
+    turns = (a_imag - float(log_s.imag)) / (2 * math.pi)
+    k = round(turns)
+    if abs(turns - k) > 0.25:
+        raise ArithmeticError(
+            f"branch of log eta at z = {_nstr(z, 8)} is ambiguous: "
+            f"{turns:.3f} turns between the float pass and Log S"
+        )
+    return k
 
 
 def _log_eta_eval(z, prec: int, magnitude: int = 0) -> _LogEta:
@@ -278,20 +334,12 @@ def _log_eta_eval(z, prec: int, magnitude: int = 0) -> _LogEta:
         y = z.imag
         # q has period 1 in Re z, so a huge Re z costs nothing below
         x = mpmath.frac(z.real)
-        y_capped = min(y, _Y_FLOAT_CAP)
-        log_s_est = _float_log_product(float(x), float(y_capped))
-        cancel = max(0, math.ceil(-log_s_est.real / math.log(10)))
+        y_capped, log_s_est, cancel = _float_pass(x, y)
     working = digits + magnitude + cancel
     with mpmath.workdps(working):
         s, terms, tail = _pentagonal_sum(mpmath.mpc(x, y), y_capped, log_s_est.real, digits)
-        log_s = mpmath.log(s)
-        turns = (log_s_est.imag - float(log_s.imag)) / (2 * math.pi)
-        k = round(turns)
-        if abs(turns - k) > 0.25:
-            raise ArithmeticError(
-                f"branch of log eta at z = {_nstr(z, 8)} is ambiguous: "
-                f"{turns:.3f} turns between the float pass and Log S"
-            )
+        log_s = mpmath.log(_fixed_mpc(*s))
+        k = _branch(log_s, log_s_est.imag, z)
         value = mpmath.pi * 1j * z / 12 + log_s + 2j * mpmath.pi * k
     return _LogEta(value, terms, tail, working)
 
@@ -303,18 +351,65 @@ def log_eta(z, prec: int = DEFAULT_PRECISION):
 
 
 def _log_eta_p_eval(p: int, z, prec: int, magnitude: int = 0) -> _LogEta:
-    """log eta_p(z) as _log_eta_eval gives log eta; p = 1 is log eta itself."""
+    """log eta_p(z) as _log_eta_eval gives log eta; p = 1 is log eta itself.
+
+    For p > 1 it is one product.  With S the pentagonal sum of q and S'
+    that of q^p, log eta(z) + log eta(p z) = pi i (p + 1) z / 12 + Log(S S')
+    + 2 pi i k, and k comes from the sum of the two float passes, itself a
+    logarithm of S S'; the value is half of that.  Each sum runs at its
+    own working precision, its own cancellation guard included, in its
+    own fixed point: F for q and F' for q^p (_pentagonal_sum).
+
+    q is formed once, by expjpi at max(F, F' + g) + 10 bits with
+    g = bitlen(p) + 3, and truncated to F, within 2 units as the sum of q
+    needs.  Its truncation to F' + g is within delta = 2 units there, and
+    q^p follows by binary powering in that fixed point.  By the product
+    rule of _pentagonal_sum, a square of a power within E units is within
+    2 E + 2, and a product with q within E + delta + 2, so by induction
+    the m-th power is within m (delta + 2) - 2 and q^p within 4 p - 2 (the
+    rule's alpha beta eps <= 16 p^2 2^-(F'+g) < 2^(bitlen(p) + 1 - F') is
+    small, as F' >= 136 and every level check_odd_prime accepts is below
+    2^82).  |d(q^p)| <= p |dq| is what the g bits pay for: shifted to F',
+    q^p is within (4 p - 2) 2^-g + sqrt 2 < 1/2 + sqrt 2 < 2 units, as
+    the sum of q^p needs.
+
+    The product S_N S'_N is exact in integers over 2^(F + F'), so Log of
+    it errs by the error of each sum relative to its own size, as a single
+    series does, plus one rounding to the larger working precision.  The
+    tails t and t' of the two sums add, and halve with the value.
+    """
     if p == 1:
         return _log_eta_eval(z, prec, magnitude)
-    with mpmath.workdps(prec + GUARD_DIGITS + magnitude):
-        one = _log_eta_eval(z, prec, magnitude)
-        other = _log_eta_eval(p * mpmath.mpc(z), prec, magnitude)
-        return _LogEta(
-            (one.value + other.value) / 2,
-            max(one.terms, other.terms),
-            (one.tail_bound + other.tail_bound) / 2,
-            max(one.working_digits, other.working_digits),
-        )
+    digits = prec + GUARD_DIGITS
+    with mpmath.workdps(digits + magnitude):
+        z = mpmath.mpc(z)
+        y = z.imag
+        x = mpmath.frac(z.real)
+        # the series of q at x + i y and of q^p at p x mod 1 + i p y
+        passes = (_float_pass(x, y), _float_pass(mpmath.frac(p * x), p * y))
+        w = mpmath.mpc(x, y)
+    workings = [digits + magnitude + cancel for _, _, cancel in passes]
+    bits = [dps_to_prec(working) + 3 * _stopping_test(y_capped, est.real, digits)[3]
+            for working, (y_capped, est, _) in zip(workings, passes)]
+    guard = p.bit_length() + 3
+    with mpmath.workprec(max(bits[0], bits[1] + guard) + 10):
+        qr, qi = mpmath.expjpi(2 * w)._mpc_
+    power = bits[1] + guard
+    qpr, qpi = _fixed_power(to_fixed(qr, power), to_fixed(qi, power), p, power)
+    qs = ((to_fixed(qr, bits[0]), to_fixed(qi, bits[0])), (qpr >> guard, qpi >> guard))
+    sums = []
+    for point, (y_capped, est, _), working, q in zip((w, None), passes, workings, qs):
+        with mpmath.workdps(working):
+            sums.append(_pentagonal_sum(point, y_capped, est.real, digits, q))
+    ((ar, ai, abits), terms, tail), ((br, bi, bbits), terms_p, tail_p) = sums
+    working = max(workings)
+    with mpmath.workdps(working):
+        log_s = mpmath.log(_fixed_mpc(ar * br - ai * bi, ar * bi + ai * br, abits + bbits))
+        k = _branch(log_s, passes[0][1].imag + passes[1][1].imag, z)
+        # half of pi i (p + 1) z / 12 + Log(S S') + 2 pi i k, part by part
+        c = mpmath.pi * (p + 1) / 24
+        value = mpmath.mpc(log_s.real / 2 - c * y, log_s.imag / 2 + c * z.real + mpmath.pi * k)
+        return _LogEta(value, max(terms, terms_p), (tail + tail_p) / 2, working)
 
 
 def log_eta_p(p: int, z, prec: int = DEFAULT_PRECISION):

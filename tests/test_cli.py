@@ -148,21 +148,21 @@ FROZEN_VERIFY = [
       '6678", "rhs": "0.27009401725599151391233788483689138585096318024812277'
       '54076244075905048622526861371978477729747929641,0.50299635720529465787'
       '2296905577503227101733352105423494837252086905378246221809647630844397'
-      '2840156678", "residual": "1.8740591e-112", "truncation_terms": 125, "l'
+      '2840156678", "residual": "2.1519142e-112", "truncation_terms": 125, "l'
       'hs_terms": 125, "rhs_terms": 11, "series": "pentagonal", "precision": '
       '100, "tail_bound": "1.2675624e-113", "working_digits": 112, "tolerance'
       '": "1e-40", "pass": true}\n'),
-     'residual 1.8740591e-112\npass true\n'),
+     'residual 2.1519142e-112\npass true\n'),
     ('verify-theorem1 --fricke=5:0,-1,1,0 --z=0.2,0.8',
      0,
      ('{"lhs": "-0.32336219361441274698416627780839027063407529478334,0.03145'
       '1293658221246507587170963769043178571755122344", "rhs": "-0.3233621936'
       '1441274698416627780839027063407529478334,0.031451293658221246507587170'
-      '963769043178571755122344", "residual": "9.7991315e-63", "truncation_te'
+      '963769043178571755122344", "residual": "6.1695182e-63", "truncation_te'
       'rms": 17, "lhs_terms": 17, "rhs_terms": 9, "series": "pentagonal", "pr'
       'ecision": 50, "tail_bound": "1.1820813e-71", "working_digits": 62, "to'
       'lerance": "1e-40", "pass": true}\n'),
-     'residual 9.7991315e-63\npass true\n'),
+     'residual 6.1695182e-63\npass true\n'),
     ('verify-eta --matrix=3,1,8,3 --z=0.333,0.5 --precision=60 --tolerance=1e-200',
      1,
      ('{"lhs": "0.86015628817687292569463598835537243007464506535714768944628'
@@ -446,6 +446,17 @@ def test_long_exponent_is_parse_error_at_once(capsys, flag):
     code, payload = run_json(capsys, argv)
     assert time.perf_counter() - start < 1
     assert code == 2 and payload["error"]["code"] == "parse"
+
+
+@pytest.mark.parametrize("flag, message", [
+    ("--z=0.1,1e100001",
+     "could not read z from '0.1,1e100001': an exponent may be at most 100000"),
+    ("--tolerance=1e-100001",
+     "tolerance must be a number with an exponent of at most 100000, got '1e-100001'"),
+])
+def test_exponent_beyond_the_bound_names_it(capsys, flag, message):
+    code, payload = run_json(capsys, ["verify-eta", "--matrix=1,1,0,1", "--z=0.1,1", flag])
+    assert code == 2 and payload["error"] == {"code": "parse", "message": message}
 
 
 def test_help_exits_zero(capsys):

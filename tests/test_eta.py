@@ -229,15 +229,11 @@ def test_near_cusp_matches_product_oracle(y, prec):
         assert abs(result.value - ref) < mpmath.mpf(10) ** -prec
 
 
-def _panel_points(prec):
-    # every point at which criterion 8's panel evaluates log eta
-    from test_acceptance import PANEL_CLASSICAL, PANEL_THEOREM1, _panel_z
+def _panel_level_points(prec):
+    # (p, z) and (p, e z) for every theorem-1 case of criterion 8's panel
+    from test_acceptance import PANEL_THEOREM1, _panel_z
 
     with mp(prec):
-        for entries, theta in PANEL_CLASSICAL:
-            g = UnimodularMatrix(*entries)
-            z = _panel_z(g.c, g.d, theta, prec)
-            yield from (z, eta._moebius(*entries, z))
         for p, kind, q, theta in PANEL_THEOREM1:
             if kind == "g":
                 z = _panel_z(q[2], q[3], theta, prec)
@@ -245,7 +241,20 @@ def _panel_points(prec):
             else:
                 z = _panel_z(q[2], q[3], theta, prec, scale=p)
                 ez = eta._moebius(p * q[0], q[1], p * q[2], p * q[3], z)
-            yield from (z, p * z, ez, p * ez)
+            yield from ((p, z), (p, ez))
+
+
+def _panel_points(prec):
+    # every point at which criterion 8's panel evaluates log eta
+    from test_acceptance import PANEL_CLASSICAL, _panel_z
+
+    with mp(prec):
+        for entries, theta in PANEL_CLASSICAL:
+            g = UnimodularMatrix(*entries)
+            z = _panel_z(g.c, g.d, theta, prec)
+            yield from (z, eta._moebius(*entries, z))
+        for p, z in _panel_level_points(prec):
+            yield from (z, p * z)
 
 
 def test_product_oracle_on_criterion_8_panel():
@@ -259,10 +268,37 @@ def test_product_oracle_on_criterion_8_panel():
             assert abs(value - ref) < mpmath.mpf(10) ** -prec, z
 
 
-def _assert_sums_agree(monkeypatch, z, prec):
-    # the fixed-point sum log_eta(z) runs is within its rounding budget,
-    # 2^-prec at its working precision plus rounding the result to prec
-    # bits, of the mpc loop run 64 bits finer
+def test_level_p_product_matches_two_series():
+    # one Log of S(q) S(q^p) against the mean of two log eta series, with
+    # the same summands, working digits and tail bound.  The bound on the
+    # values is relative to their size p |z|: at p = 2^61 - 1 the
+    # two-series value is itself about 1e6 10^-P off a reference 60 digits
+    # deeper on values of size ~2e17
+    prec = 100
+    cases = list(_panel_level_points(prec))
+    assert len(cases) == 20
+    with mp(prec):
+        cases += [(p, mpmath.mpc(x, eta.Y_MIN)) for x in ("0", "0.3", "-0.77")
+                  for p in (3, 13, 1_000_003, 2**61 - 1)]
+    for p, z in cases:
+        got = eta._log_eta_p_eval(p, z, prec)
+        with mp(prec):
+            one, other = _log_eta_eval(z, prec), _log_eta_eval(p * z, prec)
+        assert got.terms == max(one.terms, other.terms), (p, z)
+        assert got.working_digits == max(one.working_digits, other.working_digits), (p, z)
+        with mp(2 * prec):
+            tail = one.tail_bound + other.tail_bound
+            assert abs(got.tail_bound - tail / 2) <= tail * mpmath.ldexp(1, -40), (p, z)
+            ref = (one.value + other.value) / 2
+            bound = mpmath.mpf(10) ** -prec * max(1, p * abs(z))
+            assert abs(got.value - ref) < bound, (p, z)
+
+
+def _assert_sums_agree(monkeypatch, z, prec, p=1):
+    # each fixed-point sum log_eta_p(z) runs (the series of q, and for
+    # p > 1 that of q^p) is within its rounding budget, 2^-prec at its
+    # working precision, of the mpc loop at e^(2 pi i w), w = z or p z,
+    # run 64 bits finer
     calls = []
     fixed = eta._pentagonal_sum
 
@@ -272,27 +308,42 @@ def _assert_sums_agree(monkeypatch, z, prec):
         return out
 
     monkeypatch.setattr(eta, "_pentagonal_sum", spy)
-    log_eta(z, prec=prec)
+    if p == 1:
+        log_eta(z, prec=prec)
+    else:
+        log_eta_p(p, z, prec=prec)
     monkeypatch.undo()
-    [(args, (s, terms, bound), bits)] = calls
-    with mpmath.workprec(bits + 64):
-        s_ref, terms_ref, bound_ref = pentagonal_sum_mpc(*args)
-        assert terms == terms_ref, z
-        assert abs(s - s_ref) <= mpmath.ldexp(1 + abs(s), -bits), z
-        # the tail bound from the doubles of the stopping test is rounded
-        # up, never below the one computed at working precision
-        assert bound_ref <= bound <= bound_ref * (1 + mpmath.ldexp(1, -20)), z
+    assert len(calls) == (1 if p == 1 else 2)
+    # the point of the q series, as the library reduced it
+    w = calls[0][0][0]
+    for (args, ((re, im, scale), terms, bound), bits), power in zip(calls, (1, p)):
+        with mpmath.workprec(bits + 64):
+            if len(args) > 4:
+                # a q passed in is within 2 units of its fixed point
+                q = mpmath.mpc(mpmath.ldexp(args[4][0], -scale), mpmath.ldexp(args[4][1], -scale))
+                assert abs(q - mpmath.expjpi(2 * power * w)) <= mpmath.ldexp(2, -scale), (p, z)
+            s = mpmath.mpc(mpmath.ldexp(re, -scale), mpmath.ldexp(im, -scale))
+            s_ref, terms_ref, bound_ref = pentagonal_sum_mpc(power * w, *args[1:4])
+            assert terms == terms_ref, (p, z)
+            assert abs(s - s_ref) <= mpmath.ldexp(1, -bits), (p, z)
+            # the tail bound from the doubles of the stopping test is rounded
+            # up, never below the one computed at working precision
+            assert bound_ref <= bound <= bound_ref * (1 + mpmath.ldexp(1, -20)), (p, z)
 
 
 def test_fixed_point_sum_matches_mpc_loop(monkeypatch):
     prec = 100
-    points = [(z, prec) for z in _panel_points(prec)]
+    points = [(z, prec, 1) for z in _panel_points(prec)]
     assert len(points) == 60
     with mp(200):
-        points += [(mpmath.mpc(0, y), p) for y in ("0.001", "0.0015") for p in (100, 200)]
-        points += [(mpmath.mpc("0.1", "1e400"), 50), (mpmath.mpc("0.3", "1e6"), 50)]
-    for z, p in points:
-        _assert_sums_agree(monkeypatch, z, p)
+        points += [(mpmath.mpc(0, y), p, 1) for y in ("0.001", "0.0015") for p in (100, 200)]
+        points += [(mpmath.mpc("0.1", "1e400"), 50, 1), (mpmath.mpc("0.3", "1e6"), 50, 1)]
+    with mp(prec):
+        points += [(z, prec, p) for p in (3, 13, 1_000_003)
+                   for z in (mpmath.mpc("0.23", "0.91"), mpmath.mpc("-0.41", "0.09"),
+                             mpmath.mpc("0.3", eta.Y_MIN), mpmath.mpc("0.1", "1e400"))]
+    for z, prec, p in points:
+        _assert_sums_agree(monkeypatch, z, prec, p)
 
 
 @settings(max_examples=40, deadline=None)
@@ -300,10 +351,11 @@ def test_fixed_point_sum_matches_mpc_loop(monkeypatch):
     x=st.floats(0, 1, exclude_max=True),
     y=st.floats(eta.Y_MIN, 2),
     prec=st.integers(30, 200),
+    p=st.sampled_from((1, 3, 13, 1_000_003)),
 )
-def test_fixed_point_sum_matches_mpc_loop_property(x, y, prec):
+def test_fixed_point_sum_matches_mpc_loop_property(x, y, prec, p):
     with pytest.MonkeyPatch.context() as monkeypatch:
-        _assert_sums_agree(monkeypatch, mpmath.mpc(x, y), prec)
+        _assert_sums_agree(monkeypatch, mpmath.mpc(x, y), prec, p)
 
 
 def test_rounding_budget_is_checked():
@@ -410,6 +462,25 @@ def test_verify_theorem1_examples():
         prec=120,
     )
     assert report.residual < mpmath.mpf(10) ** -100
+
+
+@pytest.mark.parametrize("verify, g", [
+    (verify_theorem1, FrickeElement.gamma0(5, UnimodularMatrix(1, 0, 5, 1))),
+    (verify_eta_transform, UnimodularMatrix(3, 1, 8, 3)),
+])
+def test_one_q_and_one_log_per_side(monkeypatch, verify, g):
+    # a side of either law forms q once and takes one Log, and the Log of
+    # (c z + d) / (i sgn c sqrt det) is the third: a q or a Log per series
+    # on the level-p side would show here
+    calls = []
+    for name in ("expjpi", "log"):
+        real = getattr(mpmath, name)
+        monkeypatch.setattr(mpmath, name, lambda *args, _real=real, _name=name:
+                            calls.append(_name) or _real(*args))
+    with mp(100):
+        z = mpmath.mpc("0.2", "0.3")
+    assert verify(g, z, prec=100).residual < mpmath.mpf(10) ** -100
+    assert (calls.count("expjpi"), calls.count("log")) == (2, 3)
 
 
 def test_precision_scaling_no_plateau():
