@@ -10,41 +10,55 @@ as
 
 where the integer k puts the value on the branch of the product formula
 pi i z / 12 + sum_{n>=1} Log(1 - q^n), with principal logarithms term by
-term (each 1 - q^n lies in the right half plane).  P is the requested
-precision in decimal digits.  The evaluation has three stages.
+term (each 1 - q^n lies in the right half plane).  The level-p function
+uses the additive branch
 
-1. A complex128 pass sums A = sum_{n>=1} Log(1 - q^n) term by term until
-   |q^n| < 2^-30 and closes the rest as -q^(n+1) / (1 - q), within
-   2^-60 / (1 - |q|^2) since |Log(1 - u) + u| <= |u|^2 / (1 - |u|).  By
-   Euler's identity prod (1 - q^n) = S, so A is a logarithm of S.
-   Im A fixes k = round((Im A - Im Log S) / 2 pi); a fractional part
-   beyond 1/4 raises ArithmeticError.  Re A is log|S|: near a cusp the
-   alternating sum cancels (|eta(0.001 i)| ~ 6e-113), so the working
-   precision is raised by ceil(-log10 |S|) digits on top of the
-   GUARD_DIGITS carried everywhere.
-2. The sum runs over n = 0, +-1, +-2, ... in complex fixed point: q and
+    log eta_p(z) = ( log eta(z) + log eta(p z) ) / 2,
+
+under which the transformation law holds pointwise with the symbol Phi_p.
+One kernel, _log_eta_p_eval, evaluates both as one product over the
+powers m in (1,) for log eta or (1, p) for log eta_p, the paper's
+eta(z) eta(p z): with S_m the sum at q^m and n powers, the value is the
+mean (pi i (sum m) z / 12 + Log prod S_m + 2 pi i k) / n.  P is the
+requested precision in decimal digits.  The evaluation has three stages.
+
+1. For each power a complex128 pass sums A_m = sum_{n>=1} Log(1 - q^(m n))
+   term by term until |q^(m n)| < 2^-30 and closes the rest as
+   -q^(m (n+1)) / (1 - q^m), within 2^-60 / (1 - |q^m|^2) since
+   |Log(1 - u) + u| <= |u|^2 / (1 - |u|).  By Euler's identity
+   prod (1 - q^n) = S, so A = sum A_m is a logarithm of prod S_m.
+   Im A fixes k = round((Im A - Im Log prod S_m) / 2 pi); a fractional
+   part beyond 1/4 raises ArithmeticError.  Re A_m is log|S_m|: near a
+   cusp the alternating sum cancels (|eta(0.001 i)| ~ 6e-113), so the
+   working precision of that sum is raised by ceil(-log10 |S_m|) digits
+   on top of the GUARD_DIGITS carried everywhere.
+2. Each sum runs over n = 0, +-1, +-2, ... in complex fixed point: q^m and
    its powers are pairs of Python ints scaled by 2^F, with F the working
    precision in bits plus 3 bits per bit of twice the summand count the
-   stopping test predicts.  Every factor has modulus <= 1 and each
-   product is truncated by less than one unit 2^-F per part, so S_N is
-   within N^3/2 * 2^-F < 2^-prec of the exact partial sum (the proof is
-   at _pentagonal_sum): below the 10^-working of the working precision,
+   stopping test predicts.  q is formed once (one expjpi) and q^m by
+   binary powering, within 2 units 2^-F (the proof is at
+   _log_eta_p_eval).  Every factor has modulus <= 1 and each product is
+   truncated by less than one unit per part, so S_N is within
+   N^3/2 * 2^-F < 2^-prec of the exact partial sum (the proof is at
+   _pentagonal_sum): below the 10^-working of the working precision,
    which already carries the cancellation guard, so S_N keeps
-   digits + magnitude digits relative to |S|.  After the terms +-n the
+   digits + magnitude digits relative to |S_m|.  After the terms +-n the
    exponents left are distinct integers >= e = (n+1)(3n+2)/2, so the
    dropped tail is at most t = |q|^e / (1 - |q|) and the logarithm moves
    by at most -log(1 - t/|S_n|).  The sum stops once that bound is below
    10^-(P+10).  The test runs in log space on the top 60 bits of S_n:
    |q|^e leaves the double range long before it reaches 10^-(P+10) near
    a cusp.
-3. One Log of the sum.
+3. The sums are multiplied exactly as integers, and one Log of the
+   product follows.
 
 That is O(sqrt(P / Im z)) multiplications and one Log, where the product
 formula needs O(P / Im z) Logs; the product survives as a test oracle.
-z must have finite parts and Im z > 0 (NotUpperHalfPlaneError, checked
-before any float conversion).  Points with Im z below Y_MIN are refused
-before any series as too costly: the summands grow like sqrt(P / Im z)
-and the cancellation guard like 1 / Im z digits.
+z must be an int, float, complex, mpf or mpc with finite parts and
+Im z > 0 (NotUpperHalfPlaneError, checked before any float conversion).
+Points with Im z below Y_MIN are refused before any series as too costly:
+the summands grow like sqrt(P / Im z) and the cancellation guard like
+1 / Im z digits.
 
 Both sides of a transformation law are about as large as |z| and |g z|,
 p |z| and p |g z| for the level-p law, so the verify functions carry
@@ -53,28 +67,16 @@ magnitude guard), and the residual stays an absolute 10^-P certificate.
 Beyond 10^MAGNITUDE_MAX_DIGITS they refuse the point (PointTooLargeError)
 as too costly.
 
-The level-p function uses the additive branch
-
-    log eta_p(z) = ( log eta(z) + log eta(p z) ) / 2,
-
-under which the transformation law holds pointwise with the symbol Phi_p.
-It evaluates that as one product, the paper's eta(z) eta(p z): q is
-formed once (one expjpi), q^p by binary powering in the same fixed point,
-the sums S(q) and S(q^p) are multiplied in fixed point, and one Log of
-S(q) S(q^p) gives log eta(z) + log eta(p z) - pi i (p + 1) z / 12, on the
-branch that the sum of the two float passes fixes.  Each sum keeps its
-own cancellation guard; _log_eta_p_eval carries the rounding budget.
-eta_p_branch_ratio measures how this branch relates to the principal
-2k-th root of Delta_p = eta^k(z) eta^k(p z): the ratio is a 2k-th root of
-unity, not always 1.
+eta_p_branch_ratio measures how the additive branch relates to the
+principal 2k-th root of Delta_p = eta^k(z) eta^k(p z): the ratio is a
+2k-th root of unity, not always 1.
 
 The level-p law is the classical one with log eta_p, Phi_p, and on the
 W_p coset the integer matrix sqrt(p) e of determinant p, so both verify
 functions are one call to _verify, which takes the level as a number:
-p = 1 is the classical law, whose log eta_p is log eta itself (one
-series per side, where the level-p side has the two series of one
-product).  P outside [MIN_PRECISION, MAX_PRECISION] is
-refused once per public call, before any arithmetic at that precision.
+p = 1 is the classical law, whose log eta_p is log eta itself.  P that is
+not an int in [MIN_PRECISION, MAX_PRECISION] is refused once per public
+call, before any arithmetic at that precision.
 """
 
 from __future__ import annotations
@@ -115,7 +117,9 @@ class _LogEta(NamedTuple):
 
 
 def check_precision(prec: int) -> None:
-    """DomainError unless MIN_PRECISION <= prec <= MAX_PRECISION."""
+    """DomainError unless prec is an int with MIN_PRECISION <= prec <= MAX_PRECISION."""
+    if not isinstance(prec, int):
+        raise DomainError(f"precision must be an int, not {type(prec).__name__}")
     if prec < MIN_PRECISION:
         raise DomainError(f"precision {prec} below the {MIN_PRECISION} digit floor")
     if prec > MAX_PRECISION:
@@ -144,8 +148,13 @@ def _check_imaginary_part(z, prec: int) -> None:
 
 def _checked_point(z, prec: int):
     """z as an mpc at prec + GUARD_DIGITS digits; NotUpperHalfPlaneError
-    unless both parts are finite and Im z > 0 (before anything converts z
-    to a float), then _check_imaginary_part."""
+    unless z is a number mpmath reads without parsing text and both parts
+    are finite with Im z > 0 (before anything converts z to a float), then
+    _check_imaginary_part."""
+    if not isinstance(z, (int, float, complex, mpmath.mpf, mpmath.mpc)):
+        raise NotUpperHalfPlaneError(
+            f"z must be an int, float, complex, mpf or mpc, not {type(z).__name__}"
+        )
     with mpmath.workdps(prec + GUARD_DIGITS):
         z = mpmath.mpc(z)
         if not (mpmath.isfinite(z.real) and mpmath.isfinite(z.imag)) or z.imag <= 0:
@@ -192,20 +201,21 @@ def _stopping_test(y, log_abs_s_est: float, digits: int):
     return log_absq, log_tail_den, target, (2 * predicted).bit_length()
 
 
-def _pentagonal_sum(w, y, log_abs_s_est: float, digits: int, q=None):
-    """Partial sum S_N of sum (-1)^n q^(n(3n-1)/2), q = e^(2 pi i w), with
-    |Log S - Log S_N| <= 10^-digits; returns ((re, im, F), summands, bound)
-    with S_N = (re + i im) 2^-F exactly.  The sum forms q from w once it
-    needs a term, unless q is given: then it is the pair (re, im) of q
-    over 2^F, within 2 units (see below), and w is not read.
+def _pentagonal_sum(q, bits: int, stop, log_abs_s_est: float):
+    """Partial sum S_N of sum (-1)^n q^(n(3n-1)/2) with
+    |Log S - Log S_N| <= 10^-digits; returns ((re, im), summands, bound)
+    with S_N = (re + i im) 2^-F exactly, F = bits.  q is the pair (re, im)
+    of q over 2^F, within 2 units of it (_log_eta_p_eval); stop is
+    _stopping_test's data for q at digits, and F the working precision in
+    bits plus 3 n_bits.
 
     Tail after the terms +-n: exponents >= e = (n+1)(3n+2)/2, so at most
     t = |q|^e / (1 - |q|), and Log moves by at most -log(1 - t/|S_N|),
     which is <= 2 t/|S_N| once t/|S_N| <= 1/2.  The stopping test runs in
     doubles on logarithms; log_abs_s_est (the float pass) only saves
-    computing |S_N| before the test can pass.  y is Im w, possibly capped
-    (a larger y would only shrink the bound).  The bound comes from the
-    logarithms of the stopping test: log u = log t - log|S_N| is a sum of
+    computing |S_N| before the test can pass.  stop may come from a capped
+    Im z (a larger one would only shrink the bound).  The bound comes from
+    the logarithms of the stopping test: log u = log t - log|S_N| is a sum of
     three double-precision terms, each within (|term| + 32) 2^-50 of its
     exact value (log|S_N| from the top 60 bits), and two subtractions, so
     it is within a quarter of slack = (sum |term| + |log u| + 100) 2^-48.
@@ -218,10 +228,8 @@ def _pentagonal_sum(w, y, log_abs_s_est: float, digits: int, q=None):
     x~ and y~ within alpha and beta of x and y with |x|, |y| <= 1, both
     parts truncated by >> F (less than one unit each, sqrt 2 together),
     is within alpha + beta + alpha beta eps + sqrt 2 <= alpha + beta + 2
-    of xy while alpha beta eps <= 2 - sqrt 2, which holds below.  q comes
-    from expjpi at F + 10 bits, within 2^-(F+10) times a few units, and
-    its truncation to F bits leaves it within 2 of q (a q passed in is
-    within 2 as well).  Then q^3 is within 10; the step after n
+    of xy while alpha beta eps <= 2 - sqrt 2, which holds below.  The q
+    passed in is within 2.  Then q^3 is within 10; the step after n
     multiplications within 12 n - 10; q^n within 4 n - 2; a within
     sum_{j<=n} (12 j - 8) = 6 n^2 - 2 n; a (1 + q^n) = a + a q^n within
     12 n^2; and S_n, summed exactly, within sum_{j<=n} 12 j^2 =
@@ -233,8 +241,7 @@ def _pentagonal_sum(w, y, log_abs_s_est: float, digits: int, q=None):
     near a cusp, where |S| ~ 1e-113, the cancellation guard in prec still
     leaves digits + magnitude digits relative to |S|.
     """
-    log_absq, log_tail_den, target, n_bits = _stopping_test(y, log_abs_s_est, digits)
-    bits = mpmath.mp.prec + 3 * n_bits
+    log_absq, log_tail_den, target, n_bits = stop
     sr, si = 1 << bits, 0
     n = 0
     while True:
@@ -245,12 +252,7 @@ def _pentagonal_sum(w, y, log_abs_s_est: float, digits: int, q=None):
             if log_u < target:
                 break
         if n == 0:
-            if q is None:
-                with mpmath.workprec(bits + 10):
-                    qr, qi = mpmath.expjpi(2 * w)._mpc_
-                qr, qi = to_fixed(qr, bits), to_fixed(qi, bits)
-            else:
-                qr, qi = q
+            qr, qi = q
             q2r, q2i = (qr * qr - qi * qi) >> bits, (2 * qr * qi) >> bits
             q3r, q3i = (q2r * qr - q2i * qi) >> bits, (q2r * qi + q2i * qr) >> bits
             # the step q^(3n-2) = q^(e(n) - e(n-1)), a = q^e(n), e(n) = n(3n-1)/2
@@ -279,7 +281,7 @@ def _pentagonal_sum(w, y, log_abs_s_est: float, digits: int, q=None):
     with mpmath.workprec(64):
         u = mpmath.exp(log_u + slack)
         bound = u + u * u
-    return (sr, si, bits), 2 * n + 1, bound
+    return (sr, si), 2 * n + 1, bound
 
 
 def _fixed_power(qr: int, qi: int, p: int, bits: int):
@@ -323,93 +325,78 @@ def _branch(log_s, a_imag: float, z) -> int:
     return k
 
 
-def _log_eta_eval(z, prec: int, magnitude: int = 0) -> _LogEta:
-    """log eta(z) to 10^-prec with its truncation data; see the module
-    docstring for the three stages.  magnitude digits are carried on top
-    of the guard digits throughout (see _guarded_points).  The caller has
-    checked prec and z (_checked_point)."""
+def _log_eta_p_eval(p: int, z, prec: int, magnitude: int = 0) -> _LogEta:
+    """log eta_p(z) to 10^-prec with its truncation data, p = 1 meaning
+    log eta(z); see the module docstring for the three stages.  magnitude
+    digits are carried on top of the guard digits throughout (see
+    _guarded_points).  The caller has checked p, prec and z
+    (_checked_point).
+
+    With S_m the pentagonal sum of q^m over the n powers m in (1,) or
+    (1, p), the mean of log eta(m z) is
+    (pi i (sum m) z / 12 + Log prod S_m + 2 pi i k) / n, and k comes from
+    the sum of the float passes, itself a logarithm of prod S_m.  Each sum
+    runs at its own working precision, its own cancellation guard
+    included, in its own fixed point F_m (_pentagonal_sum).
+
+    q is formed once, by expjpi at max_m (F_m + g_m) + 10 bits with
+    g_m = bitlen(m) + 3.  Its truncation to F_m + g_m is within delta = 2
+    units there, and q^m follows by binary powering in that fixed point
+    (for m = 1 the power is q itself).  By the product rule of
+    _pentagonal_sum, a square of a power within E units is within 2 E + 2,
+    and a product with q within E + delta + 2, so by induction the m-th
+    power is within m (delta + 2) - 2 and q^m within 4 m - 2 (the rule's
+    alpha beta eps <= 16 m^2 2^-(F+g) < 2^(bitlen(m) + 1 - F) is small,
+    as F >= 136 and every level check_odd_prime accepts is below 2^82).
+    |d(q^m)| <= m |dq| is what the g bits pay for: shifted to F_m, q^m is
+    within (4 m - 2) 2^-g + sqrt 2 < 1/2 + sqrt 2 < 2 units, as its sum
+    needs.
+
+    The product of the S_N is exact in integers over 2^(sum F_m), so Log
+    of it errs by the error of each sum relative to its own size, as a
+    single series does, plus one rounding to the largest working
+    precision.  The tails of the sums add, and divide by n with the value.
+    """
+    powers = (1,) if p == 1 else (1, p)
     digits = prec + GUARD_DIGITS
     with mpmath.workdps(digits + magnitude):
         z = mpmath.mpc(z)
         y = z.imag
         # q has period 1 in Re z, so a huge Re z costs nothing below
         x = mpmath.frac(z.real)
-        y_capped, log_s_est, cancel = _float_pass(x, y)
-    working = digits + magnitude + cancel
+        # the series of q^m at m x mod 1 + i m y
+        passes = [_float_pass(mpmath.frac(m * x), m * y) for m in powers]
+        w = mpmath.mpc(x, y)
+    workings = [digits + magnitude + cancel for _, _, cancel in passes]
+    stops = [_stopping_test(y_capped, est.real, digits) for y_capped, est, _ in passes]
+    bits = [dps_to_prec(working) + 3 * stop[3] for working, stop in zip(workings, stops)]
+    guards = [m.bit_length() + 3 for m in powers]
+    with mpmath.workprec(max(f + g for f, g in zip(bits, guards)) + 10):
+        qr, qi = mpmath.expjpi(2 * w)._mpc_
+    sums = []
+    for m, f, g, stop, (_, est, _) in zip(powers, bits, guards, stops, passes):
+        qmr, qmi = _fixed_power(to_fixed(qr, f + g), to_fixed(qi, f + g), m, f + g)
+        sums.append(_pentagonal_sum((qmr >> g, qmi >> g), f, stop, est.real))
+    re, im = 1, 0
+    for (sr, si), _, _ in sums:
+        re, im = re * sr - im * si, re * si + im * sr
+    n = len(powers)
+    working = max(workings)
     with mpmath.workdps(working):
-        s, terms, tail = _pentagonal_sum(mpmath.mpc(x, y), y_capped, log_s_est.real, digits)
-        log_s = mpmath.log(_fixed_mpc(*s))
-        k = _branch(log_s, log_s_est.imag, z)
-        value = mpmath.pi * 1j * z / 12 + log_s + 2j * mpmath.pi * k
-    return _LogEta(value, terms, tail, working)
+        log_s = mpmath.log(_fixed_mpc(re, im, sum(bits)))
+        k = _branch(log_s, sum(est.imag for _, est, _ in passes), z)
+        # the mean, part by part
+        c = mpmath.pi * sum(powers) / (12 * n)
+        value = mpmath.mpc(log_s.real / n - c * y,
+                           log_s.imag / n + c * z.real + 2 * mpmath.pi * k / n)
+        tail = sum(bound for _, _, bound in sums) / n
+        return _LogEta(value, max(terms for _, terms, _ in sums), tail, working)
 
 
 def log_eta(z, prec: int = DEFAULT_PRECISION):
     """Principal-series logarithm of eta(z) for Im(z) >= Y_MIN."""
     check_precision(prec)
-    return _log_eta_eval(_checked_point(z, prec), prec).value
-
-
-def _log_eta_p_eval(p: int, z, prec: int, magnitude: int = 0) -> _LogEta:
-    """log eta_p(z) as _log_eta_eval gives log eta; p = 1 is log eta itself.
-
-    For p > 1 it is one product.  With S the pentagonal sum of q and S'
-    that of q^p, log eta(z) + log eta(p z) = pi i (p + 1) z / 12 + Log(S S')
-    + 2 pi i k, and k comes from the sum of the two float passes, itself a
-    logarithm of S S'; the value is half of that.  Each sum runs at its
-    own working precision, its own cancellation guard included, in its
-    own fixed point: F for q and F' for q^p (_pentagonal_sum).
-
-    q is formed once, by expjpi at max(F, F' + g) + 10 bits with
-    g = bitlen(p) + 3, and truncated to F, within 2 units as the sum of q
-    needs.  Its truncation to F' + g is within delta = 2 units there, and
-    q^p follows by binary powering in that fixed point.  By the product
-    rule of _pentagonal_sum, a square of a power within E units is within
-    2 E + 2, and a product with q within E + delta + 2, so by induction
-    the m-th power is within m (delta + 2) - 2 and q^p within 4 p - 2 (the
-    rule's alpha beta eps <= 16 p^2 2^-(F'+g) < 2^(bitlen(p) + 1 - F') is
-    small, as F' >= 136 and every level check_odd_prime accepts is below
-    2^82).  |d(q^p)| <= p |dq| is what the g bits pay for: shifted to F',
-    q^p is within (4 p - 2) 2^-g + sqrt 2 < 1/2 + sqrt 2 < 2 units, as
-    the sum of q^p needs.
-
-    The product S_N S'_N is exact in integers over 2^(F + F'), so Log of
-    it errs by the error of each sum relative to its own size, as a single
-    series does, plus one rounding to the larger working precision.  The
-    tails t and t' of the two sums add, and halve with the value.
-    """
-    if p == 1:
-        return _log_eta_eval(z, prec, magnitude)
-    digits = prec + GUARD_DIGITS
-    with mpmath.workdps(digits + magnitude):
-        z = mpmath.mpc(z)
-        y = z.imag
-        x = mpmath.frac(z.real)
-        # the series of q at x + i y and of q^p at p x mod 1 + i p y
-        passes = (_float_pass(x, y), _float_pass(mpmath.frac(p * x), p * y))
-        w = mpmath.mpc(x, y)
-    workings = [digits + magnitude + cancel for _, _, cancel in passes]
-    bits = [dps_to_prec(working) + 3 * _stopping_test(y_capped, est.real, digits)[3]
-            for working, (y_capped, est, _) in zip(workings, passes)]
-    guard = p.bit_length() + 3
-    with mpmath.workprec(max(bits[0], bits[1] + guard) + 10):
-        qr, qi = mpmath.expjpi(2 * w)._mpc_
-    power = bits[1] + guard
-    qpr, qpi = _fixed_power(to_fixed(qr, power), to_fixed(qi, power), p, power)
-    qs = ((to_fixed(qr, bits[0]), to_fixed(qi, bits[0])), (qpr >> guard, qpi >> guard))
-    sums = []
-    for point, (y_capped, est, _), working, q in zip((w, None), passes, workings, qs):
-        with mpmath.workdps(working):
-            sums.append(_pentagonal_sum(point, y_capped, est.real, digits, q))
-    ((ar, ai, abits), terms, tail), ((br, bi, bbits), terms_p, tail_p) = sums
-    working = max(workings)
-    with mpmath.workdps(working):
-        log_s = mpmath.log(_fixed_mpc(ar * br - ai * bi, ar * bi + ai * br, abits + bbits))
-        k = _branch(log_s, passes[0][1].imag + passes[1][1].imag, z)
-        # half of pi i (p + 1) z / 12 + Log(S S') + 2 pi i k, part by part
-        c = mpmath.pi * (p + 1) / 24
-        value = mpmath.mpc(log_s.real / 2 - c * y, log_s.imag / 2 + c * z.real + mpmath.pi * k)
-        return _LogEta(value, max(terms, terms_p), (tail + tail_p) / 2, working)
+    return _log_eta_p_eval(1, _checked_point(z, prec), prec).value
 
 
 def log_eta_p(p: int, z, prec: int = DEFAULT_PRECISION):

@@ -73,7 +73,9 @@ def is_odd_prime(p: int) -> bool:
 
 
 def check_odd_prime(p: int) -> None:
-    """NotOddPrimeError unless is_odd_prime(p)."""
+    """NotOddPrimeError unless p is an int and is_odd_prime(p)."""
+    if not isinstance(p, int):
+        raise NotOddPrimeError(f"p must be an int, not {type(p).__name__}")
     if not is_odd_prime(p):
         raise NotOddPrimeError(f"p = {p} is not an odd prime")
 

@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -19,7 +20,6 @@ from rademacher.errors import (
 from rademacher.eta import (
     GUARD_DIGITS,
     VerificationReport,
-    _log_eta_eval,
     eta_p_branch_ratio,
     log_eta,
     log_eta_p,
@@ -81,13 +81,24 @@ def test_im_too_small_raises():
 def test_points_off_the_upper_half_plane_raise(re, im):
     with mp(50):
         z = mpmath.mpc(mpmath.mpf(re), mpmath.mpf(im))
+    _assert_refused_everywhere(z)
+
+
+@pytest.mark.parametrize("z", ["abc", "0.2", None, b"0.5", [0.2, 0.8], Fraction(1, 5)])
+def test_a_point_that_is_not_a_number_raises(z):
+    # refused before mpmath's string reader sees text: "abc" used to end
+    # in a bare ValueError, None in a TypeError
+    _assert_refused_everywhere(z, "must be an int")
+
+
+def _assert_refused_everywhere(z, match=None):
     for call in (
         lambda: log_eta(z),
         lambda: log_eta_p(5, z),
         lambda: verify_eta_transform(S, z),
         lambda: verify_theorem1(fricke_involution(5), z),
     ):
-        with pytest.raises(NotUpperHalfPlaneError) as info:
+        with pytest.raises(NotUpperHalfPlaneError, match=match) as info:
             call()
         assert info.value.code == "not_upper_half_plane"
 
@@ -96,7 +107,7 @@ def test_huge_imaginary_part():
     # |q| = exp(-2 pi 1e400) leaves S = 1: log eta is pi i z / 12 exactly
     with mp(50):
         z = mpmath.mpc("0.1", "1e400")
-        result = _log_eta_eval(z, 50)
+        result = eta._log_eta_p_eval(1, z, 50)
         assert result.terms == 1 and result.tail_bound < mpmath.mpf(10) ** -1000
         assert result.value == mpmath.pi * 1j * z / 12
 
@@ -198,8 +209,13 @@ def test_precision_ceiling(monkeypatch):
         for prec in (eta.MAX_PRECISION + 1, 10**9):
             with pytest.raises(DomainError, match="ceiling"):
                 call(prec)
-        with pytest.raises(DomainError, match="floor"):
-            call(eta.MIN_PRECISION - 1)
+        for prec in (eta.MIN_PRECISION - 1, True):
+            with pytest.raises(DomainError, match="floor"):
+                call(prec)
+        # 50.5 and 60.5 used to answer, "50" to end in a bare TypeError
+        for prec in (50.5, 60.5, 50.0, "50", None):
+            with pytest.raises(DomainError, match="must be an int"):
+                call(prec)
 
 
 def test_truncation_soundness():
@@ -207,8 +223,8 @@ def test_truncation_soundness():
     prec = 40
     with mp(2 * prec + 10):
         z = mpmath.mpc("0.41", "0.09")
-        coarse = _log_eta_eval(z, prec)
-        fine = _log_eta_eval(z, 2 * prec + 10)
+        coarse = eta._log_eta_p_eval(1, z, prec)
+        fine = eta._log_eta_p_eval(1, z, 2 * prec + 10)
         # pentagonal summands grow like sqrt(digits): 50 -> 100 digits is sqrt 2
         assert abs(fine.terms / coarse.terms - math.sqrt(2)) < 0.15
         assert (abs(coarse.value - fine.value)
@@ -222,7 +238,7 @@ def test_near_cusp_matches_product_oracle(y, prec):
     # and the cancellation guard must restore them
     with mp(prec):
         z = mpmath.mpc(0, y)
-    result = _log_eta_eval(z, prec)
+    result = eta._log_eta_p_eval(1, z, prec)
     assert result.working_digits > prec + GUARD_DIGITS + 60
     ref = log_eta_product(z, prec)
     with mp(2 * prec):
@@ -283,7 +299,7 @@ def test_level_p_product_matches_two_series():
     for p, z in cases:
         got = eta._log_eta_p_eval(p, z, prec)
         with mp(prec):
-            one, other = _log_eta_eval(z, prec), _log_eta_eval(p * z, prec)
+            one, other = eta._log_eta_p_eval(1, z, prec), eta._log_eta_p_eval(1, p * z, prec)
         assert got.terms == max(one.terms, other.terms), (p, z)
         assert got.working_digits == max(one.working_digits, other.working_digits), (p, z)
         with mp(2 * prec):
@@ -295,35 +311,42 @@ def test_level_p_product_matches_two_series():
 
 
 def _assert_sums_agree(monkeypatch, z, prec, p=1):
-    # each fixed-point sum log_eta_p(z) runs (the series of q, and for
-    # p > 1 that of q^p) is within its rounding budget, 2^-prec at its
-    # working precision, of the mpc loop at e^(2 pi i w), w = z or p z,
-    # run 64 bits finer
-    calls = []
-    fixed = eta._pentagonal_sum
+    # each fixed-point sum log_eta_p(z) runs, over q^m for m in (1,) or
+    # (1, p), has one stopping test and a q^m within 2 units of
+    # e^(2 pi i m w), w = z mod 1 as the library rounds it, and is within
+    # its rounding budget, 2^-prec at its working precision, of the mpc
+    # loop at m w run 64 bits finer
+    calls, stops = [], []
+    fixed, stopping = eta._pentagonal_sum, eta._stopping_test
 
     def spy(*args):
         out = fixed(*args)
-        calls.append((args, out, mpmath.mp.prec))
+        calls.append((args, out))
         return out
 
     monkeypatch.setattr(eta, "_pentagonal_sum", spy)
+    monkeypatch.setattr(eta, "_stopping_test", lambda *args: stops.append(args) or stopping(*args))
     if p == 1:
         log_eta(z, prec=prec)
     else:
         log_eta_p(p, z, prec=prec)
     monkeypatch.undo()
-    assert len(calls) == (1 if p == 1 else 2)
-    # the point of the q series, as the library reduced it
-    w = calls[0][0][0]
-    for (args, ((re, im, scale), terms, bound), bits), power in zip(calls, (1, p)):
-        with mpmath.workprec(bits + 64):
-            if len(args) > 4:
-                # a q passed in is within 2 units of its fixed point
-                q = mpmath.mpc(mpmath.ldexp(args[4][0], -scale), mpmath.ldexp(args[4][1], -scale))
-                assert abs(q - mpmath.expjpi(2 * power * w)) <= mpmath.ldexp(2, -scale), (p, z)
+    powers = (1,) if p == 1 else (1, p)
+    assert len(calls) == len(stops) == len(powers)
+    digits = prec + GUARD_DIGITS
+    with mpmath.workdps(digits):
+        z = mpmath.mpc(z)
+        w = mpmath.mpc(mpmath.frac(z.real), z.imag)
+        ys = [min(m * w.imag, eta._Y_FLOAT_CAP) for m in powers]
+    for ((q, scale, stop, est), ((re, im), terms, bound)), m, y in zip(calls, powers, ys):
+        # the working precision in bits carries the cancellation guard
+        bits = mpmath.libmp.dps_to_prec(digits + max(0, math.ceil(-est / math.log(10))))
+        assert scale == bits + 3 * stop[3], (p, z)
+        with mpmath.workprec(scale + 64):
+            qm = mpmath.mpc(mpmath.ldexp(q[0], -scale), mpmath.ldexp(q[1], -scale))
+            assert abs(qm - mpmath.expjpi(2 * m * w)) <= mpmath.ldexp(2, -scale), (p, z)
             s = mpmath.mpc(mpmath.ldexp(re, -scale), mpmath.ldexp(im, -scale))
-            s_ref, terms_ref, bound_ref = pentagonal_sum_mpc(power * w, *args[1:4])
+            s_ref, terms_ref, bound_ref = pentagonal_sum_mpc(m * w, y, est, digits)
             assert terms == terms_ref, (p, z)
             assert abs(s - s_ref) <= mpmath.ldexp(1, -bits), (p, z)
             # the tail bound from the doubles of the stopping test is rounded
@@ -361,9 +384,13 @@ def test_fixed_point_sum_matches_mpc_loop_property(x, y, prec, p):
 def test_rounding_budget_is_checked():
     # a float estimate of |S| far too large predicts too few summands; the
     # sum runs on to its true stopping point and refuses its own result
-    with mpmath.workdps(60):
-        with pytest.raises(ArithmeticError, match="fixed point was sized"):
-            eta._pentagonal_sum(mpmath.mpc("0.3", "0.01"), 0.01, 1000.0, 60)
+    stop = eta._stopping_test(0.01, 1000.0, 60)
+    bits = mpmath.libmp.dps_to_prec(60) + 3 * stop[3]
+    with mpmath.workprec(bits + 10):
+        q = mpmath.expjpi(2 * mpmath.mpc("0.3", "0.01"))
+    q = (mpmath.libmp.to_fixed(q.real._mpf_, bits), mpmath.libmp.to_fixed(q.imag._mpf_, bits))
+    with pytest.raises(ArithmeticError, match="fixed point was sized"):
+        eta._pentagonal_sum(q, bits, stop, 1000.0)
 
 
 def test_float_pass_matches_full_loop():
@@ -391,11 +418,14 @@ def test_log_eta_p_definition_and_shift():
 @pytest.mark.parametrize("p, error", [
     (4, NotOddPrimeError), (1, NotOddPrimeError), (0, NotOddPrimeError),
     (-3, NotOddPrimeError), (9, NotOddPrimeError), (2**89 - 1, PrimeTooLargeError),
+    (5.0, NotOddPrimeError), ("5", NotOddPrimeError),
 ])
 def test_log_eta_p_refuses_a_level_that_is_not_an_odd_prime(p, error):
-    # refused before any arithmetic: 0 and -3 used to blame z instead
-    with pytest.raises(error):
-        log_eta_p(p, mpmath.mpc("0.1", "1"))
+    # refused before any arithmetic: 0 and -3 used to blame z instead, and
+    # 5.0 and "5" ended in an AttributeError and a TypeError
+    for call in (log_eta_p, eta_p_branch_ratio):
+        with pytest.raises(error):
+            call(p, mpmath.mpc("0.1", "1"))
 
 
 def test_delta_p_consistency():
@@ -467,11 +497,13 @@ def test_verify_theorem1_examples():
 @pytest.mark.parametrize("verify, g", [
     (verify_theorem1, FrickeElement.gamma0(5, UnimodularMatrix(1, 0, 5, 1))),
     (verify_eta_transform, UnimodularMatrix(3, 1, 8, 3)),
+    (log_eta_p, 5),
+    (log_eta, None),
 ])
 def test_one_q_and_one_log_per_side(monkeypatch, verify, g):
-    # a side of either law forms q once and takes one Log, and the Log of
-    # (c z + d) / (i sgn c sqrt det) is the third: a q or a Log per series
-    # on the level-p side would show here
+    # a side of either law forms q once and takes one Log, and a check adds
+    # the Log of (c z + d) / (i sgn c sqrt det) as the third: a q or a Log
+    # per series on the level-p side would show here
     calls = []
     for name in ("expjpi", "log"):
         real = getattr(mpmath, name)
@@ -479,8 +511,13 @@ def test_one_q_and_one_log_per_side(monkeypatch, verify, g):
                             calls.append(_name) or _real(*args))
     with mp(100):
         z = mpmath.mpc("0.2", "0.3")
-    assert verify(g, z, prec=100).residual < mpmath.mpf(10) ** -100
-    assert (calls.count("expjpi"), calls.count("log")) == (2, 3)
+    result = verify(*((z,) if g is None else (g, z)), prec=100)
+    if isinstance(result, VerificationReport):
+        assert result.residual < mpmath.mpf(10) ** -100
+        expected = (2, 3)
+    else:
+        expected = (1, 1)
+    assert (calls.count("expjpi"), calls.count("log")) == expected
 
 
 def test_precision_scaling_no_plateau():
