@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import NotCoprimeError
-from .matrices import UnimodularMatrix
+from .matrices import UnimodularMatrix, int_text
 
 
 def _sigma(h: int, k: int) -> int:
@@ -60,9 +60,9 @@ def _sigma(h: int, k: int) -> int:
 def dedekind_sum(h: int, k: int) -> Fraction:
     """s(h, k) in closed form, O(log k) integer steps."""
     if k <= 0:
-        raise NotCoprimeError(f"k must be positive, got {k}")
+        raise NotCoprimeError(f"k must be positive, got {int_text(k)}")
     if gcd(h, k) != 1:
-        raise NotCoprimeError(f"gcd({h}, {k}) != 1")
+        raise NotCoprimeError(f"gcd({int_text(h)}, {int_text(k)}) != 1")
     return Fraction(_sigma(h, k), 12 * k)
 
 

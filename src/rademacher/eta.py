@@ -32,23 +32,22 @@ requested precision in decimal digits.  The evaluation has three stages.
    cusp the alternating sum cancels (|eta(0.001 i)| ~ 6e-113), so the
    working precision of that sum is raised by ceil(-log10 |S_m|) digits
    on top of the GUARD_DIGITS carried everywhere.
-2. Each sum runs over n = 0, +-1, +-2, ... in complex fixed point: q^m and
-   its powers are pairs of Python ints scaled by 2^F, with F the working
-   precision in bits plus 3 bits per bit of twice the summand count the
-   stopping test predicts.  q is formed once (one expjpi) and q^m by
-   binary powering, within 2 units 2^-F (the proof is at
-   _log_eta_p_eval).  Every factor has modulus <= 1 and each product is
-   truncated by less than one unit per part, so S_N is within
-   N^3/2 * 2^-F < 2^-prec of the exact partial sum (the proof is at
-   _pentagonal_sum): below the 10^-working of the working precision,
-   which already carries the cancellation guard, so S_N keeps
+2. Each sum runs over n = 0, +-1, +-2, ... in complex fixed point, the sign
+   (-1)^n riding in the step between terms: q^m and its powers are pairs of
+   Python ints scaled by 2^F, with F the working precision in bits plus 3
+   bits per bit of twice the summand count the stopping test predicts.  q
+   is formed once (one expjpi) and q^m by binary powering, within
+   2 units 2^-F (the proof is at _log_eta_p_eval).  Every factor has
+   modulus <= 1 and each product is truncated by less than one unit per
+   part, so S_N is within N^3/2 * 2^-F < 2^-prec of the exact partial sum
+   (the proof is at _pentagonal_sum): below the 10^-working of the working
+   precision, which already carries the cancellation guard, so S_N keeps
    digits + magnitude digits relative to |S_m|.  After the terms +-n the
    exponents left are distinct integers >= e = (n+1)(3n+2)/2, so the
-   dropped tail is at most t = |q|^e / (1 - |q|) and the logarithm moves
-   by at most -log(1 - t/|S_n|).  The sum stops once that bound is below
-   10^-(P+10).  The test runs in log space on the top 60 bits of S_n:
-   |q|^e leaves the double range long before it reaches 10^-(P+10) near
-   a cusp.
+   dropped tail is at most t = |q|^e / (1 - |q|) and the logarithm moves by
+   at most -log(1 - t/|S_n|).  The sum stops once that bound is below
+   10^-(P+10).  The test runs in log space on the top 60 bits of S_n: |q|^e
+   leaves the double range long before it reaches 10^-(P+10) near a cusp.
 3. The sums are multiplied exactly as integers, and one Log of the
    product follows.
 
@@ -68,13 +67,16 @@ Beyond 10^MAGNITUDE_MAX_DIGITS they refuse the point (PointTooLargeError)
 as too costly.
 
 eta_p_branch_ratio measures how the additive branch relates to the
-principal 2k-th root of Delta_p = eta^k(z) eta^k(p z): the ratio is a
-2k-th root of unity, not always 1.
+principal 2k-th root of Delta_p = eta^k(z) eta^k(p z): the ratio is the
+2k-th root of unity exp(pi i r / k), not always 1, with the integer r read
+off 2k Im log eta_p in closed form.
 
 The level-p law is the classical one with log eta_p, Phi_p, and on the
 W_p coset the integer matrix sqrt(p) e of determinant p, so both verify
 functions are one call to _verify, which takes the level as a number:
-p = 1 is the classical law, whose log eta_p is log eta itself.  P that is
+p = 1 is the classical law, whose log eta_p is log eta itself.  Its
+automorphy term (1/2) Log w, w = (c z + d) / (i sgn c sqrt det), is taken
+as Log(-(c z + d)^2 / det) / 4, without a root, since Re w > 0.  P that is
 not an int in [MIN_PRECISION, MAX_PRECISION] is refused once per public
 call, before any arithmetic at that precision.
 """
@@ -91,7 +93,7 @@ from mpmath.libmp import dps_to_prec, from_man_exp, to_fixed
 from .dedekind import rademacher_phi
 from .errors import DomainError, ImaginaryPartError, NotUpperHalfPlaneError, PointTooLargeError
 from .fricke import k_of_p, phi_p
-from .matrices import FrickeElement, UnimodularMatrix, check_odd_prime, sgn
+from .matrices import FrickeElement, UnimodularMatrix, check_odd_prime, int_text
 
 DEFAULT_PRECISION = 50
 MIN_PRECISION = 30
@@ -121,9 +123,9 @@ def check_precision(prec: int) -> None:
     if not isinstance(prec, int):
         raise DomainError(f"precision must be an int, not {type(prec).__name__}")
     if prec < MIN_PRECISION:
-        raise DomainError(f"precision {prec} below the {MIN_PRECISION} digit floor")
+        raise DomainError(f"precision {int_text(prec)} below the {MIN_PRECISION} digit floor")
     if prec > MAX_PRECISION:
-        raise DomainError(f"precision {prec} above the {MAX_PRECISION} digit ceiling")
+        raise DomainError(f"precision {int_text(prec)} above the {MAX_PRECISION} digit ceiling")
 
 
 def _nstr(x, n: int) -> str:
@@ -222,18 +224,20 @@ def _pentagonal_sum(q, bits: int, stop, log_abs_s_est: float):
     exp(log u + slack), taken as a 64-bit mpf because u leaves the double
     range, is then at least u, and -log(1 - u) <= u + u^2 for u <= 1/2.
 
-    Rounding budget.  q, q^3, the step q^(3n-2), a = q^e(n), q^n and S_n
-    are Gaussian integers over 2^F, F = prec + guard with prec the bits of
-    the working precision.  Count errors in units eps = 2^-F.  A product of
-    x~ and y~ within alpha and beta of x and y with |x|, |y| <= 1, both
-    parts truncated by >> F (less than one unit each, sqrt 2 together),
-    is within alpha + beta + alpha beta eps + sqrt 2 <= alpha + beta + 2
-    of xy while alpha beta eps <= 2 - sqrt 2, which holds below.  The q
-    passed in is within 2.  Then q^3 is within 10; the step after n
-    multiplications within 12 n - 10; q^n within 4 n - 2; a within
-    sum_{j<=n} (12 j - 8) = 6 n^2 - 2 n; a (1 + q^n) = a + a q^n within
-    12 n^2; and S_n, summed exactly, within sum_{j<=n} 12 j^2 =
-    2 n (n+1) (2n+1) = N (N^2 - 1) / 2 < N^3 / 2 for N = 2 n + 1 summands.
+    Rounding budget.  q, q^3 (_fixed_power), the step -q^(3n-2),
+    a = (-1)^n q^e(n), q^n and S_n are Gaussian integers over 2^F,
+    F = prec + guard with prec the bits of the working precision.  Count
+    errors in units eps = 2^-F.  A product of x~ and y~ within alpha and
+    beta of x and y with |x|, |y| <= 1, both parts truncated by >> F (less
+    than one unit each, sqrt 2 together, whatever the signs), is within
+    alpha + beta + alpha beta eps + sqrt 2 <= alpha + beta + 2 of xy while
+    alpha beta eps <= 2 - sqrt 2, which holds below.  The q passed in is
+    within 2, and so is its exact negation, the first step.  Then q^3 is
+    within 10; the step after n multiplications within 12 n - 10; q^n
+    within 4 n - 2; a within sum_{j<=n} (12 j - 8) = 6 n^2 - 2 n; the
+    term a (1 + q^n) = a + a q^n within 12 n^2; and S_n, summed exactly,
+    within sum_{j<=n} 12 j^2 = 2 n (n+1) (2n+1) = N (N^2 - 1) / 2 < N^3 / 2
+    for N = 2 n + 1 summands.
     guard is 3 n_bits (_stopping_test), so N^3 / 2 < 2^guard and S_N is
     within 2^-prec of the exact partial sum; an N of 2^n_bits or more
     raises ArithmeticError.  mpmath's mpc sum carried 10^-working relative
@@ -242,6 +246,12 @@ def _pentagonal_sum(q, bits: int, stop, log_abs_s_est: float):
     leaves digits + magnitude digits relative to |S|.
     """
     log_absq, log_tail_den, target, n_bits = stop
+    qr, qi = q
+    q3r, q3i = _fixed_power(qr, qi, 3, bits)
+    # the step -q^(3n-2) = -q^(e(n) - e(n-1)) and a = (-1)^n q^e(n), with
+    # e(n) = n(3n-1)/2, carry the sign, so every term is added
+    dr, di = ar, ai = -qr, -qi
+    qnr, qni = qr, qi
     sr, si = 1 << bits, 0
     n = 0
     while True:
@@ -251,26 +261,14 @@ def _pentagonal_sum(q, bits: int, stop, log_abs_s_est: float):
             log_u = log_t - _log_abs_fixed(sr, si, bits)
             if log_u < target:
                 break
-        if n == 0:
-            qr, qi = q
-            q2r, q2i = (qr * qr - qi * qi) >> bits, (2 * qr * qi) >> bits
-            q3r, q3i = (q2r * qr - q2i * qi) >> bits, (q2r * qi + q2i * qr) >> bits
-            # the step q^(3n-2) = q^(e(n) - e(n-1)), a = q^e(n), e(n) = n(3n-1)/2
-            dr, di = qr, qi
-            ar, ai = qr, qi
-            qnr, qni = qr, qi
-        else:
+        if n:
             dr, di = (dr * q3r - di * q3i) >> bits, (dr * q3i + di * q3r) >> bits
             ar, ai = (ar * dr - ai * di) >> bits, (ar * di + ai * dr) >> bits
             qnr, qni = (qnr * qr - qni * qi) >> bits, (qnr * qi + qni * qr) >> bits
         n += 1
-        # q^e(-n) = q^(e(n) + n)
-        tr = ar + ((ar * qnr - ai * qni) >> bits)
-        ti = ai + ((ar * qni + ai * qnr) >> bits)
-        if n % 2:
-            sr, si = sr - tr, si - ti
-        else:
-            sr, si = sr + tr, si + ti
+        # (-1)^n q^e(-n) = a q^n
+        sr += ar + ((ar * qnr - ai * qni) >> bits)
+        si += ai + ((ar * qni + ai * qnr) >> bits)
     if 2 * n + 1 >= 1 << n_bits:
         raise ArithmeticError(
             f"{2 * n + 1} pentagonal summands; the fixed point was sized for "
@@ -303,13 +301,14 @@ def _fixed_mpc(re: int, im: int, bits: int):
     )
 
 
-def _float_pass(x, y):
-    """(y capped, A, cancel) for the series at x + i y: the float pass
-    A = sum Log(1 - q^n) and the cancellation guard ceil(-log10 |S|) in
-    digits, at least 0."""
-    y_capped = min(y, _Y_FLOAT_CAP)
-    log_s_est = _float_log_product(float(x), float(y_capped))
-    return y_capped, log_s_est, max(0, math.ceil(-log_s_est.real / math.log(10)))
+def _float_pass(x, y, digits: int):
+    """(A, cancel, stop) at x + i y, y capped to _Y_FLOAT_CAP: the float pass
+    A = sum Log(1 - q^n), the cancellation guard ceil(-log10 |S|) in digits,
+    at least 0, and _stopping_test's data at digits."""
+    y = min(y, _Y_FLOAT_CAP)
+    est = _float_log_product(float(x), float(y))
+    cancel = max(0, math.ceil(-est.real / math.log(10)))
+    return est, cancel, _stopping_test(y, est.real, digits)
 
 
 def _branch(log_s, a_imag: float, z) -> int:
@@ -365,32 +364,30 @@ def _log_eta_p_eval(p: int, z, prec: int, magnitude: int = 0) -> _LogEta:
         # q has period 1 in Re z, so a huge Re z costs nothing below
         x = mpmath.frac(z.real)
         # the series of q^m at m x mod 1 + i m y
-        passes = [_float_pass(mpmath.frac(m * x), m * y) for m in powers]
+        passes = [_float_pass(mpmath.frac(m * x), m * y, digits) for m in powers]
         w = mpmath.mpc(x, y)
-    workings = [digits + magnitude + cancel for _, _, cancel in passes]
-    stops = [_stopping_test(y_capped, est.real, digits) for y_capped, est, _ in passes]
-    bits = [dps_to_prec(working) + 3 * stop[3] for working, stop in zip(workings, stops)]
+    workings = [digits + magnitude + cancel for _, cancel, _ in passes]
+    bits = [dps_to_prec(working) + 3 * stop[3] for working, (_, _, stop) in zip(workings, passes)]
     guards = [m.bit_length() + 3 for m in powers]
     with mpmath.workprec(max(f + g for f, g in zip(bits, guards)) + 10):
         qr, qi = mpmath.expjpi(2 * w)._mpc_
-    sums = []
-    for m, f, g, stop, (_, est, _) in zip(powers, bits, guards, stops, passes):
-        qmr, qmi = _fixed_power(to_fixed(qr, f + g), to_fixed(qi, f + g), m, f + g)
-        sums.append(_pentagonal_sum((qmr >> g, qmi >> g), f, stop, est.real))
-    re, im = 1, 0
-    for (sr, si), _, _ in sums:
-        re, im = re * sr - im * si, re * si + im * sr
     n = len(powers)
     working = max(workings)
     with mpmath.workdps(working):
+        re, im, terms, tail = 1, 0, 0, 0
+        for m, f, g, (est, _, stop) in zip(powers, bits, guards, passes):
+            qmr, qmi = _fixed_power(to_fixed(qr, f + g), to_fixed(qi, f + g), m, f + g)
+            (sr, si), count, bound = _pentagonal_sum((qmr >> g, qmi >> g), f, stop, est.real)
+            re, im = re * sr - im * si, re * si + im * sr
+            terms = max(terms, count)
+            tail += bound
         log_s = mpmath.log(_fixed_mpc(re, im, sum(bits)))
-        k = _branch(log_s, sum(est.imag for _, est, _ in passes), z)
+        k = _branch(log_s, sum(est.imag for est, _, _ in passes), z)
         # the mean, part by part
         c = mpmath.pi * sum(powers) / (12 * n)
         value = mpmath.mpc(log_s.real / n - c * y,
                            log_s.imag / n + c * z.real + 2 * mpmath.pi * k / n)
-        tail = sum(bound for _, _, bound in sums) / n
-        return _LogEta(value, max(terms for _, terms, _ in sums), tail, working)
+        return _LogEta(value, terms, tail / n, working)
 
 
 def log_eta(z, prec: int = DEFAULT_PRECISION):
@@ -411,15 +408,14 @@ def log_eta_p(p: int, z, prec: int = DEFAULT_PRECISION):
 def eta_p_branch_ratio(p: int, z, prec: int = DEFAULT_PRECISION):
     """exp(log eta_p(z)) divided by the principal 2k-th root of Delta_p(z).
 
-    Always a 2k-th root of unity with k = k_of_p(p); equal to 1 exactly
-    when the accumulated argument of Delta_p stays inside (-pi, pi].
+    Log Delta_p = 2k log eta_p - 2 pi i r for the integer r that puts its
+    imaginary part in (-pi, pi], so the ratio is exp(pi i r / k), a 2k-th
+    root of unity with k = k_of_p(p), and equal to 1 exactly when r = 0.
     """
     k = k_of_p(p)
     with mpmath.workdps(prec + GUARD_DIGITS):
-        add = log_eta_p(p, z, prec)
-        delta = mpmath.exp(2 * k * add)
-        principal = mpmath.exp(mpmath.log(delta) / (2 * k))
-        return mpmath.exp(add) / principal
+        turns = (2 * k * log_eta_p(p, z, prec).imag - mpmath.pi) / (2 * mpmath.pi)
+        return mpmath.expjpi(mpmath.ceil(turns) / k)
 
 
 class VerificationReport(NamedTuple):
@@ -480,7 +476,8 @@ def _moebius(a, b, c, d, z):
     its digits where the quotient's would cancel near the real axis.
     """
     w = c * z + d
-    return mpmath.mpc(((a * z + b) / w).real, (a * d - b * c) * z.imag / abs(w) ** 2)
+    return mpmath.mpc(((a * z + b) / w).real,
+                      (a * d - b * c) * z.imag / (w.real ** 2 + w.imag ** 2))
 
 
 def _guarded_points(z, a, b, c, d, prec: int, p: int):
@@ -531,9 +528,9 @@ def _verify(p: int, m, det: int, phi, z, prec: int) -> VerificationReport:
         base = _log_eta_p_eval(p, z, prec, guard)
         rhs = base.value + mpmath.pi * 1j * phi.numerator / (12 * phi.denominator)
         if c != 0:
-            # dividing by i sgn c rotates the upper or lower half plane onto the
-            # right half plane, keeping the principal Log away from its cut
-            rhs += mpmath.log((c * z + d) / mpmath.sqrt(det) / (1j * sgn(c))) / 2
+            # w = (c z + d) / (i sgn c sqrt det) has Re w = |c| Im z / sqrt det
+            # > 0, so Log w = Log(w^2) / 2, and w^2 = -(c z + d)^2 / det
+            rhs += mpmath.log(-(c * z + d) ** 2 / det) / 4
         return VerificationReport(
             lhs.value,
             rhs,

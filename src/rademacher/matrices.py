@@ -32,6 +32,15 @@ def sgn(x) -> int:
     return (x > 0) - (x < 0)
 
 
+def int_text(n: int) -> str:
+    """str(n) for a message, or n by its bit length where Python refuses
+    to print an int of more than 4300 digits."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"{'-' if n < 0 else ''}<{n.bit_length()}-bit integer>"
+
+
 # the first 13 primes: Miller-Rabin to these bases is exact below
 # MILLER_RABIN_LIMIT (Sorenson and Webster, "Strong pseudoprimes to twelve
 # prime bases", Math. Comp. 86 (2017))
@@ -52,7 +61,7 @@ def is_odd_prime(p: int) -> bool:
             return False
     if p >= MILLER_RABIN_LIMIT:
         raise PrimeTooLargeError(
-            f"p = {p} is beyond {MILLER_RABIN_LIMIT}, where the primality test "
+            f"p = {int_text(p)} is beyond {MILLER_RABIN_LIMIT}, where the primality test "
             f"is no longer deterministic"
         )
     d, s = p - 1, 0
@@ -77,7 +86,7 @@ def check_odd_prime(p: int) -> None:
     if not isinstance(p, int):
         raise NotOddPrimeError(f"p must be an int, not {type(p).__name__}")
     if not is_odd_prime(p):
-        raise NotOddPrimeError(f"p = {p} is not an odd prime")
+        raise NotOddPrimeError(f"p = {int_text(p)} is not an odd prime")
 
 
 def _product(m1: tuple, m2: tuple) -> tuple[int, int, int, int]:
@@ -151,7 +160,7 @@ class UnimodularMatrix(_Value):
     def __init__(self, a: int, b: int, c: int, d: int):
         det = a * d - b * c
         if det != 1:
-            raise DeterminantError(f"determinant is {det}, expected 1")
+            raise DeterminantError(f"determinant is {int_text(det)}, expected 1")
         _set(self, "a", a)
         _set(self, "b", b)
         _set(self, "c", c)
@@ -208,12 +217,12 @@ class FrickeElement(_Value):
             if a * d - b * c != 1:
                 raise DeterminantError("Gamma0 part must have determinant 1")
             if c % p != 0:
-                raise DivisibilityError(f"lower-left entry {c} not divisible by {p}")
+                raise DivisibilityError(f"lower-left entry {int_text(c)} not divisible by {p}")
         elif kind == COSET:
             if p * a * d - b * c != 1:
                 raise DeterminantError(
                     f"coset normal form needs p*alpha*delta - beta*gamma = 1, "
-                    f"got {p * a * d - b * c}"
+                    f"got {int_text(p * a * d - b * c)}"
                 )
         else:
             raise ValueError(f"unknown kind {kind!r}")

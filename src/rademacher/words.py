@@ -25,7 +25,7 @@ from __future__ import annotations
 from math import gcd
 
 from .errors import NotAnEdgeError, ParseError, WrongBaseEdgeError
-from .matrices import UnimodularMatrix, _Value
+from .matrices import UnimodularMatrix, _Value, int_text
 
 EdgeWord = tuple[int, ...]
 
@@ -143,12 +143,14 @@ def turns_from_endpoints(pts) -> EdgeWord:
         raise WrongBaseEdgeError("need at least the two base vertices")
     (n0, d0), (n1, d1) = pairs[0], pairs[1]
     if d0 != 0 or n0 not in (1, -1) or n1 != 0 or d1 not in (1, -1):
+        n0, d0, n1, d1 = map(int_text, (n0, d0, n1, d1))
         raise WrongBaseEdgeError(f"path must start 1/0, 0/1; got {n0}/{d0}, {n1}/{d1}")
     det_prev = n0 * d1  # D_0, +-1
     word = []
     for n2, d2 in pairs[2:]:
         det = n1 * d2 - n2 * d1
         if det != 1 and det != -1:
+            n1, d1, n2, d2, det = map(int_text, (n1, d1, n2, d2, det))
             raise NotAnEdgeError(f"{n1}/{d1} -> {n2}/{d2} is not an edge (determinant {det})")
         # sgn(D) = D for D = +-1
         word.append((n0 * d2 - n2 * d0) * det_prev * det)

@@ -158,11 +158,11 @@ FROZEN_VERIFY = [
      ('{"lhs": "-0.32336219361441274698416627780839027063407529478334,0.03145'
       '1293658221246507587170963769043178571755122344", "rhs": "-0.3233621936'
       '1441274698416627780839027063407529478334,0.031451293658221246507587170'
-      '963769043178571755122344", "residual": "6.1695182e-63", "truncation_te'
+      '963769043178571755122344", "residual": "1.6150283e-63", "truncation_te'
       'rms": 17, "lhs_terms": 17, "rhs_terms": 9, "series": "pentagonal", "pr'
       'ecision": 50, "tail_bound": "1.1820813e-71", "working_digits": 62, "to'
       'lerance": "1e-40", "pass": true}\n'),
-     'residual 6.1695182e-63\npass true\n'),
+     'residual 1.6150283e-63\npass true\n'),
     ('verify-eta --matrix=3,1,8,3 --z=0.333,0.5 --precision=60 --tolerance=1e-200',
      1,
      ('{"lhs": "0.86015628817687292569463598835537243007464506535714768944628'
@@ -292,6 +292,23 @@ def test_parse_error_exit_2(capsys):
 
     code, payload = run_json(capsys, ["phi-p", "--matrix", "1,0,5,1"])
     assert code == 2  # missing --p / --fricke
+
+    code, payload = run_json(capsys, ["phi-p", "--fricke=5:0,-1,1,0", "--p=5"])
+    assert code == 2 and payload["error"] == {
+        "code": "parse", "message": "--fricke cannot be combined with --p/--matrix"}
+
+
+@pytest.mark.parametrize("argv, bits", [
+    (["phi", f"--matrix={'9' * 4000},1,1,{'9' * 4000}"], 26576),
+    (["phi-p", f"--fricke=5:{'9' * 4000},1,1,{'9' * 4000}"], 26578),
+], ids=["phi", "phi-p"])
+def test_a_determinant_beyond_4300_digits_is_named_by_its_bits(capsys, argv, bits):
+    # Python prints no int of more than 4300 digits: the refusal used to end
+    # as internal, a ValueError raised while formatting its own message
+    code, payload = run_json(capsys, argv)
+    assert code == 1 and payload["error"]["code"] == "bad_determinant"
+    assert payload["error"]["message"].endswith(f"<{bits}-bit integer>" + (
+        ", expected 1" if argv[0] == "phi" else ""))
 
 
 def test_usage_error_exit_2(capsys):

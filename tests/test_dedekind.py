@@ -69,6 +69,11 @@ def test_precondition_errors():
         dedekind_sum(1, 0)
     with pytest.raises(NotCoprimeError):
         dedekind_sum(1, -3)
+    # too long to print: named by bit length, not a bare ValueError
+    with pytest.raises(NotCoprimeError, match="^k must be positive, got -<16610-bit integer>$"):
+        dedekind_sum(1, -(10**5000))
+    with pytest.raises(NotCoprimeError, match=r"^gcd\(2, <16610-bit integer>\) != 1$"):
+        dedekind_sum(2, 10**5000)
 
 
 @given(coprime_pairs)

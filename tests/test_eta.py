@@ -1,5 +1,8 @@
+import ast
+import inspect
 import math
 import re
+import textwrap
 from fractions import Fraction
 
 import mpmath
@@ -206,10 +209,11 @@ def test_precision_ceiling(monkeypatch):
         lambda prec: verify_eta_transform(S, z, prec=prec),
         lambda prec: verify_theorem1(fricke_involution(5), z, prec=prec),
     ):
-        for prec in (eta.MAX_PRECISION + 1, 10**9):
+        # 10**5000 is too long to print: its message names its bit length
+        for prec in (eta.MAX_PRECISION + 1, 10**9, 10**5000):
             with pytest.raises(DomainError, match="ceiling"):
                 call(prec)
-        for prec in (eta.MIN_PRECISION - 1, True):
+        for prec in (eta.MIN_PRECISION - 1, True, -10**5000):
             with pytest.raises(DomainError, match="floor"):
                 call(prec)
         # 50.5 and 60.5 used to answer, "50" to end in a bare TypeError
@@ -428,6 +432,16 @@ def test_log_eta_p_refuses_a_level_that_is_not_an_odd_prime(p, error):
             call(p, mpmath.mpc("0.1", "1"))
 
 
+@pytest.mark.parametrize("p, error, bits", [
+    (10**5000, NotOddPrimeError, 16610),
+    (10**4400 + 1, PrimeTooLargeError, 14617),
+], ids=["even", "odd"])
+def test_a_level_beyond_4300_digits_is_refused_by_its_bits(p, error, bits):
+    # the message names p by its bit length: str(p) itself raises ValueError
+    with pytest.raises(error, match=f"^p = <{bits}-bit integer> is "):
+        log_eta_p(p, mpmath.mpc("0.1", "1"))
+
+
 def test_delta_p_consistency():
     # exp(2k log_eta_p) must equal the direct product eta^k(z) eta^k(pz)
     for p in (5, 7):
@@ -449,6 +463,9 @@ def test_branch_ratio_root_of_unity():
             q = eta_p_branch_ratio(p, mpmath.mpc(*z_parts), prec=60)
             assert abs(abs(q) - 1) < mpmath.mpf(10) ** -55
             assert abs(q ** (2 * k) - 1) < mpmath.mpf(10) ** -50
+            # expjpi(r / k) for the integer r, so a trivial ratio is 1
+            # exactly; exp, log and exp of Delta_p left 1.8e-72 at p = 7
+            assert (q == 1) == (p != 5)
 
 
 def test_branch_ratio_nontrivial_case():
@@ -458,6 +475,24 @@ def test_branch_ratio_nontrivial_case():
         q = eta_p_branch_ratio(5, mpmath.mpc("0.9", "0.5"), prec=60)
         expected = mpmath.expjpi(mpmath.mpf(1) / 6)
         assert abs(q - expected) < mpmath.mpf(10) ** -50
+
+
+def test_automorphy_term_has_no_sign_or_root():
+    # Log w = Log(w^2) / 2 as Re w > 0, so the term needs neither sgn c nor
+    # sqrt det
+    assert not hasattr(eta, "sgn")
+
+
+def test_pentagonal_sum_signs_in_the_step(monkeypatch):
+    # (-1)^n rides in the step, so no parity test is left, and q^3 is the
+    # one power formed, by _fixed_power
+    tree = ast.parse(textwrap.dedent(inspect.getsource(eta._pentagonal_sum)))
+    assert not any(isinstance(node, ast.Mod) for node in ast.walk(tree))
+    powers, fixed = [], eta._fixed_power
+    monkeypatch.setattr(eta, "_fixed_power", lambda *args: powers.append(args[2]) or fixed(*args))
+    log_eta_p(5, mpmath.mpc("0.2", "0.3"), prec=50)
+    # per series: q^m for the product, then q^3 in the sum
+    assert powers == [1, 3, 5, 3]
 
 
 def test_verify_eta_transform_examples():
@@ -502,10 +537,11 @@ def test_verify_theorem1_examples():
 ])
 def test_one_q_and_one_log_per_side(monkeypatch, verify, g):
     # a side of either law forms q once and takes one Log, and a check adds
-    # the Log of (c z + d) / (i sgn c sqrt det) as the third: a q or a Log
-    # per series on the level-p side would show here
+    # the Log of -(c z + d)^2 / det as the third: a q or a Log per series
+    # on the level-p side, or a square root in the automorphy term, would
+    # show here
     calls = []
-    for name in ("expjpi", "log"):
+    for name in ("expjpi", "log", "sqrt"):
         real = getattr(mpmath, name)
         monkeypatch.setattr(mpmath, name, lambda *args, _real=real, _name=name:
                             calls.append(_name) or _real(*args))
@@ -518,6 +554,7 @@ def test_one_q_and_one_log_per_side(monkeypatch, verify, g):
     else:
         expected = (1, 1)
     assert (calls.count("expjpi"), calls.count("log")) == expected
+    assert calls.count("sqrt") == 0
 
 
 def test_precision_scaling_no_plateau():

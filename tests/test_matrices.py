@@ -24,6 +24,7 @@ from rademacher.matrices import (
     FrickeElement,
     UnimodularMatrix,
     fricke_involution,
+    int_text,
     is_odd_prime,
     parse_fricke,
     parse_matrix,
@@ -65,6 +66,14 @@ def test_is_odd_prime_large():
         is_odd_prime(2**89 - 1)
     assert info.value.code == "prime_too_large"
     assert not is_odd_prime(3 * (2**89 - 1))
+
+
+def test_int_text():
+    # str(n) wherever Python prints it, so ordinary messages keep their bytes
+    for n in (0, -7, 10**4299, -(10**4299)):
+        assert int_text(n) == str(n)
+    assert int_text(10**4300) == "<14285-bit integer>"
+    assert int_text(-(10**5000)) == "-<16610-bit integer>"
 
 
 def test_determinant_enforced():
@@ -143,6 +152,12 @@ def test_fricke_construction():
         FrickeElement.gamma0(9, I2)
     with pytest.raises(DeterminantError):
         FrickeElement.coset(5, 1, 1, 1, 1)
+    with pytest.raises(DeterminantError, match="Gamma0 part must have determinant 1"):
+        FrickeElement(5, GAMMA0, (1, 1, 5, 1))
+    with pytest.raises(ValueError, match="unknown kind 'other'"):
+        FrickeElement(5, "other", (1, 0, 0, 1))
+    with pytest.raises(DivisibilityError, match="^lower-left entry <16610-bit integer> "):
+        FrickeElement(5, GAMMA0, (1, 0, 10**5000 + 1, 1))
     w5 = fricke_involution(5)
     assert w5.kind == COSET and w5.q == (0, -1, 1, 0)
 

@@ -143,6 +143,13 @@ def test_turns_errors():
         turns_from_endpoints([(1, 0), (0, 0)])
     with pytest.raises(NotAnEdgeError):
         turns_from_endpoints([(1, 0), (0, 1), (-2, 4)])
+    # too long to print: named by bit length, not a bare ValueError
+    big = 10**5000
+    with pytest.raises(WrongBaseEdgeError, match="got <16610-bit integer>/0, 0/1$"):
+        turns_from_endpoints([(big, 0), (0, 1)])
+    with pytest.raises(NotAnEdgeError, match=r"-> <16610-bit integer>/3 .*\(determinant "
+                                             r"-<16610-bit integer>\)$"):
+        turns_from_endpoints([(1, 0), (0, 1), (big, 3)])
 
 
 @given(any_words)
