@@ -12,40 +12,36 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import re
 import sys
 from fractions import Fraction
 
 from .dedekind import rademacher_phi
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, ResultTooLargeError
 from .fricke import phi_p
 from .inertia import km_phi, tridiag_signature, tridiag_trace
-from .matrices import FrickeElement, integer, parse_fricke, parse_integers, parse_matrix
+from .matrices import (MAX_DIGITS, MAX_EXPONENT, FrickeElement, _is_number, check_tolerance,
+                       integer, parse_fricke, parse_integers, parse_matrix)
 from .render import render_svg
 from .words import decompose, endpoints
 
 DEFAULT_TOLERANCE = "1e-40"
-# at most this many digits in a number, the ceiling Python puts on
-# int("..."); render's rational flags also bound the exponent by it
-MAX_DIGITS = 4300
-# the exponent bound of --z and --tolerance: mpmath reads an exponent in
-# time quadratic in its digits, and 10^5 still reaches point_too_large
-# (--z=0.1,1e5000) and residuals far below 1e-4300
-MAX_EXPONENT = 10**5
-# every non-integer number the CLI reads: p/q with q > 0, or a decimal such
-# as 5, -.5, 5. or 2.5e-3, a leading point followed by a nonzero digit
-# (mpmath fails on .0); ASCII digits only as in matrices.integer; group 1 is
-# the exponent
-_RATIONAL = re.compile(
-    r"[+-]?(?:[0-9]+/0*[1-9][0-9]*|(?:[0-9]+(?:\.[0-9]*)?|\.0*[1-9][0-9]*)(?:[eE]([+-]?[0-9]+))?)")
 
 
-def _is_number(text: str, max_exponent: int) -> bool:
-    # the only gate before Fraction or mpmath reads CLI text: both would
-    # take padding, _ and non-ASCII digits, and fail on p/0
-    match = _RATIONAL.fullmatch(text)
-    return (match is not None and sum(map(str.isdigit, text)) <= MAX_DIGITS
-            and abs(int(match[1] or 0)) <= max_exponent)
+def _printable(numbers) -> None:
+    """ResultTooLargeError before anything is printed if an int among
+    numbers has more than MAX_DIGITS digits: the CLI prints no integer
+    longer than those it reads."""
+    limit = 10**MAX_DIGITS
+    for n in numbers:
+        if abs(n) >= limit:
+            raise ResultTooLargeError(
+                f"the result holds a {n.bit_length()}-bit integer, more than the "
+                f"{MAX_DIGITS} digits the command line prints")
+
+
+def _vertex_parts(pts) -> list[int]:
+    """The integers n and d of each vertex n/d, as str(vertex) prints them."""
+    return [x for v in pts for x in (v.n, v.d)]
 
 
 def _parse_word(text: str) -> tuple[int, ...]:
@@ -164,17 +160,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_phi(args):
     value = rademacher_phi(parse_matrix(args.matrix))
+    _printable([value])
     return {"phi": value}, [str(value)]
 
 
 def _run_phi_p(args):
     value = phi_p(_fricke_arg(args))
+    _printable([value.numerator, value.denominator])
     return {"phi_p": str(value)}, [str(value)]
 
 
 def _run_decompose(args):
     word = decompose(parse_matrix(args.matrix))
-    pts = [str(v) for v in endpoints(word)]
+    pts = endpoints(word)
+    _printable([*word, *_vertex_parts(pts)])
+    pts = [str(v) for v in pts]
     return {"word": list(word), "endpoints": pts}, [
         ",".join(str(a) for a in word),
         " ".join(pts),
@@ -182,13 +182,16 @@ def _run_decompose(args):
 
 
 def _run_endpoints(args):
-    pts = [str(v) for v in endpoints(_parse_word(args.word))]
+    pts = endpoints(_parse_word(args.word))
+    _printable(_vertex_parts(pts))
+    pts = [str(v) for v in pts]
     return {"endpoints": pts}, [" ".join(pts)]
 
 
 def _run_km(args):
     word = _parse_word(args.word)
     trace, signature, phi = tridiag_trace(word), tridiag_signature(word), km_phi(word)
+    _printable([trace, phi])
     return (
         {"word": list(word), "trace": trace, "signature": signature, "phi": phi},
         [f"trace {trace}", f"signature {signature}", f"phi {phi}"],
@@ -198,11 +201,7 @@ def _run_km(args):
 def _run_verify(args):
     from . import eta
 
-    if not _is_number(args.tolerance, MAX_EXPONENT):
-        if _is_number(args.tolerance, math.inf):
-            raise ParseError(f"tolerance must be a number with an exponent of at most "
-                             f"{MAX_EXPONENT}, got {args.tolerance!r}")
-        raise ParseError(f"tolerance must be a number, got {args.tolerance!r}")
+    check_tolerance(args.tolerance)
     prec = eta.DEFAULT_PRECISION if args.precision is None else args.precision
     if args.command == "verify-eta":
         g, verify = parse_matrix(args.matrix), eta.verify_eta_transform
@@ -221,7 +220,11 @@ def _run_render(args):
              if getattr(args, name) is not None}
     given.update((name, getattr(args, name)) for name in ("width_px", "height_px")
                  if getattr(args, name) is not None)
-    data = render_svg(_parse_word(args.word), **given, label_vertices=not args.no_labels)
+    word = _parse_word(args.word)
+    if not args.no_labels:
+        # the labels print the vertices
+        _printable(_vertex_parts(endpoints(word)))
+    data = render_svg(word, **given, label_vertices=not args.no_labels)
     if args.out is not None:
         with open(args.out, "wb") as handle:
             handle.write(data)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .errors import NotCoprimeError
+from .errors import DomainError, NotCoprimeError
 from .matrices import UnimodularMatrix, int_text
 
 
@@ -68,6 +68,8 @@ def dedekind_sum(h: int, k: int) -> Fraction:
 
 def rademacher_phi(g: UnimodularMatrix) -> int:
     """Rademacher symbol Phi(g), an exact integer."""
+    if not isinstance(g, UnimodularMatrix):
+        raise DomainError(f"g must be a UnimodularMatrix, not {type(g).__name__}")
     return _phi(g.a, g.b, g.c, g.d)
 
 

@@ -69,3 +69,9 @@ class NotUpperHalfPlaneError(DomainError):
     """z has a non-finite part or Im(z) <= 0."""
 
     code = "not_upper_half_plane"
+
+
+class ResultTooLargeError(DomainError):
+    """A result holds an integer longer than the command line prints."""
+
+    code = "result_too_large"

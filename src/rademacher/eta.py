@@ -30,24 +30,25 @@ requested precision in decimal digits.  The evaluation has three stages.
    Im A fixes k = round((Im A - Im Log prod S_m) / 2 pi); a fractional
    part beyond 1/4 raises ArithmeticError.  Re A_m is log|S_m|: near a
    cusp the alternating sum cancels (|eta(0.001 i)| ~ 6e-113), so the
-   working precision of that sum is raised by ceil(-log10 |S_m|) digits
-   on top of the GUARD_DIGITS carried everywhere.
+   working precision of the side is raised by max_m ceil(-log10 |S_m|)
+   digits on top of the GUARD_DIGITS carried everywhere.
 2. Each sum runs over n = 0, +-1, +-2, ... in complex fixed point, the sign
    (-1)^n riding in the step between terms: q^m and its powers are pairs of
-   Python ints scaled by 2^F, with F the working precision in bits plus 3
-   bits per bit of twice the summand count the stopping test predicts.  q
-   is formed once (one expjpi) and q^m by binary powering, within
-   2 units 2^-F (the proof is at _log_eta_p_eval).  Every factor has
-   modulus <= 1 and each product is truncated by less than one unit per
-   part, so S_N is within N^3/2 * 2^-F < 2^-prec of the exact partial sum
-   (the proof is at _pentagonal_sum): below the 10^-working of the working
-   precision, which already carries the cancellation guard, so S_N keeps
-   digits + magnitude digits relative to |S_m|.  After the terms +-n the
-   exponents left are distinct integers >= e = (n+1)(3n+2)/2, so the
-   dropped tail is at most t = |q|^e / (1 - |q|) and the logarithm moves by
-   at most -log(1 - t/|S_n|).  The sum stops once that bound is below
-   10^-(P+10).  The test runs in log space on the top 60 bits of S_n: |q|^e
-   leaves the double range long before it reaches 10^-(P+10) near a cusp.
+   Python ints scaled by 2^F, with F, one per side, the working precision
+   in bits plus 3 bits per bit of twice the largest summand count the
+   stopping tests predict.  q is formed and truncated once, and q^m comes
+   by binary powering, within 2 units 2^-F (proof at _log_eta_p_eval).
+   Every factor has modulus <= 1 and each product is truncated by less
+   than one unit per part, so S_N is within N^3/2 * 2^-F < 2^-prec of the
+   exact partial sum (proof at _pentagonal_sum): below the 10^-working of
+   the working precision, which carries every cancellation guard, so S_N
+   keeps digits + magnitude digits relative to |S_m|.  After the terms
+   +-n the exponents left are distinct integers >= e = (n+1)(3n+2)/2, so
+   the dropped tail is at most t = |q|^e / (1 - |q|) and the logarithm
+   moves by at most -log(1 - t/|S_n|).  The sum stops once that bound is
+   below 10^-(P+10).  The test runs in log space on the top 60 bits of
+   S_n: |q|^e leaves the double range long before it reaches 10^-(P+10)
+   near a cusp.
 3. The sums are multiplied exactly as integers, and one Log of the
    product follows.
 
@@ -88,12 +89,13 @@ import math
 from typing import NamedTuple
 
 import mpmath
-from mpmath.libmp import dps_to_prec, from_man_exp, to_fixed
+from mpmath.libmp import dps_to_prec, to_fixed
 
 from .dedekind import rademacher_phi
 from .errors import DomainError, ImaginaryPartError, NotUpperHalfPlaneError, PointTooLargeError
 from .fricke import k_of_p, phi_p
-from .matrices import FrickeElement, UnimodularMatrix, check_odd_prime, int_text
+from .matrices import (FrickeElement, UnimodularMatrix, check_ints, check_odd_prime,
+                       check_tolerance, int_text)
 
 DEFAULT_PRECISION = 50
 MIN_PRECISION = 30
@@ -120,8 +122,7 @@ class _LogEta(NamedTuple):
 
 def check_precision(prec: int) -> None:
     """DomainError unless prec is an int with MIN_PRECISION <= prec <= MAX_PRECISION."""
-    if not isinstance(prec, int):
-        raise DomainError(f"precision must be an int, not {type(prec).__name__}")
+    check_ints("precision", (prec,))
     if prec < MIN_PRECISION:
         raise DomainError(f"precision {int_text(prec)} below the {MIN_PRECISION} digit floor")
     if prec > MAX_PRECISION:
@@ -208,8 +209,8 @@ def _pentagonal_sum(q, bits: int, stop, log_abs_s_est: float):
     |Log S - Log S_N| <= 10^-digits; returns ((re, im), summands, bound)
     with S_N = (re + i im) 2^-F exactly, F = bits.  q is the pair (re, im)
     of q over 2^F, within 2 units of it (_log_eta_p_eval); stop is
-    _stopping_test's data for q at digits, and F the working precision in
-    bits plus 3 n_bits.
+    _stopping_test's data for q at digits, and F at least the working
+    precision in bits plus 3 n_bits.
 
     Tail after the terms +-n: exponents >= e = (n+1)(3n+2)/2, so at most
     t = |q|^e / (1 - |q|), and Log moves by at most -log(1 - t/|S_N|),
@@ -238,7 +239,7 @@ def _pentagonal_sum(q, bits: int, stop, log_abs_s_est: float):
     term a (1 + q^n) = a + a q^n within 12 n^2; and S_n, summed exactly,
     within sum_{j<=n} 12 j^2 = 2 n (n+1) (2n+1) = N (N^2 - 1) / 2 < N^3 / 2
     for N = 2 n + 1 summands.
-    guard is 3 n_bits (_stopping_test), so N^3 / 2 < 2^guard and S_N is
+    guard >= 3 n_bits (_stopping_test), so N^3 / 2 < 2^guard and S_N is
     within 2^-prec of the exact partial sum; an N of 2^n_bits or more
     raises ArithmeticError.  mpmath's mpc sum carried 10^-working relative
     to each operation instead, so the fixed point is no less accurate:
@@ -293,14 +294,6 @@ def _fixed_power(qr: int, qi: int, p: int, bits: int):
     return rr, ri
 
 
-def _fixed_mpc(re: int, im: int, bits: int):
-    """(re + i im) 2^-bits rounded to the working precision."""
-    prec = mpmath.mp.prec
-    return mpmath.mp.make_mpc(
-        (from_man_exp(re, -bits, prec, "n"), from_man_exp(im, -bits, prec, "n"))
-    )
-
-
 def _float_pass(x, y, digits: int):
     """(A, cancel, stop) at x + i y, y capped to _Y_FLOAT_CAP: the float pass
     A = sum Log(1 - q^n), the cancellation guard ceil(-log10 |S|) in digits,
@@ -326,62 +319,59 @@ def _branch(log_s, a_imag: float, z) -> int:
 
 def _log_eta_p_eval(p: int, z, prec: int, magnitude: int = 0) -> _LogEta:
     """log eta_p(z) to 10^-prec with its truncation data, p = 1 meaning
-    log eta(z); see the module docstring for the three stages.  magnitude
-    digits are carried on top of the guard digits throughout (see
-    _guarded_points).  The caller has checked p, prec and z
-    (_checked_point).
+    log eta(z), by the three stages of the module docstring; z comes from
+    _checked_point or _guarded_points at the digits + magnitude digits
+    carried throughout, digits = prec + GUARD_DIGITS.  With S_m the
+    pentagonal sum of q^m over the n powers m in (1,) or (1, p), the mean
+    of log eta(m z) is (pi i (sum m) z / 12 + Log prod S_m + 2 pi i k) / n,
+    k from the sum of the float passes, itself a logarithm of prod S_m.
 
-    With S_m the pentagonal sum of q^m over the n powers m in (1,) or
-    (1, p), the mean of log eta(m z) is
-    (pi i (sum m) z / 12 + Log prod S_m + 2 pi i k) / n, and k comes from
-    the sum of the float passes, itself a logarithm of prod S_m.  Each sum
-    runs at its own working precision, its own cancellation guard
-    included, in its own fixed point F_m (_pentagonal_sum).
-
-    q is formed once, by expjpi at max_m (F_m + g_m) + 10 bits with
-    g_m = bitlen(m) + 3.  Its truncation to F_m + g_m is within delta = 2
-    units there, and q^m follows by binary powering in that fixed point
-    (for m = 1 the power is q itself).  By the product rule of
+    The side is sized once: one working precision digits + magnitude +
+    max_m cancel_m, one fixed point F, its bits plus 3 max_m n_bits
+    (_pentagonal_sum), and one guard g = bitlen(p) + 3.  q is formed once,
+    by expjpi at F + g + 10 bits, and truncated once to F + g, within
+    delta = 2 units there; q^m follows by binary powering in that fixed
+    point (for m = 1 the power is q itself).  By the product rule of
     _pentagonal_sum, a square of a power within E units is within 2 E + 2,
     and a product with q within E + delta + 2, so by induction the m-th
     power is within m (delta + 2) - 2 and q^m within 4 m - 2 (the rule's
-    alpha beta eps <= 16 m^2 2^-(F+g) < 2^(bitlen(m) + 1 - F) is small,
-    as F >= 136 and every level check_odd_prime accepts is below 2^82).
-    |d(q^m)| <= m |dq| is what the g bits pay for: shifted to F_m, q^m is
-    within (4 m - 2) 2^-g + sqrt 2 < 1/2 + sqrt 2 < 2 units, as its sum
-    needs.
+    alpha beta eps <= 16 m^2 2^-(F+g) < 2^(bitlen(m) + 1 - F) is small, as
+    F >= 136 and every level check_odd_prime accepts is below 2^82).
+    |d(q^m)| <= m |dq| is what g pays for: as m <= p < 2^(g - 3), q^m
+    shifted to F is within (4 m - 2) 2^-g + sqrt 2 < 1/2 + sqrt 2 < 2
+    units, as its sum needs.
 
-    The product of the S_N is exact in integers over 2^(sum F_m), so Log
-    of it errs by the error of each sum relative to its own size, as a
-    single series does, plus one rounding to the largest working
-    precision.  The tails of the sums add, and divide by n with the value.
+    The product of the S_N is exact in integers over 2^(n F), so Log of it
+    errs by the error of each sum relative to its own size, as a single
+    series does, plus one rounding to the working precision.  The tails of
+    the sums add, and divide by n with the value.
     """
     powers = (1,) if p == 1 else (1, p)
+    n = len(powers)
     digits = prec + GUARD_DIGITS
     with mpmath.workdps(digits + magnitude):
-        z = mpmath.mpc(z)
         y = z.imag
         # q has period 1 in Re z, so a huge Re z costs nothing below
         x = mpmath.frac(z.real)
         # the series of q^m at m x mod 1 + i m y
         passes = [_float_pass(mpmath.frac(m * x), m * y, digits) for m in powers]
         w = mpmath.mpc(x, y)
-    workings = [digits + magnitude + cancel for _, cancel, _ in passes]
-    bits = [dps_to_prec(working) + 3 * stop[3] for working, (_, _, stop) in zip(workings, passes)]
-    guards = [m.bit_length() + 3 for m in powers]
-    with mpmath.workprec(max(f + g for f, g in zip(bits, guards)) + 10):
+    working = digits + magnitude + max(cancel for _, cancel, _ in passes)
+    bits = dps_to_prec(working) + 3 * max(stop[3] for _, _, stop in passes)
+    g = p.bit_length() + 3
+    with mpmath.workprec(bits + g + 10):
         qr, qi = mpmath.expjpi(2 * w)._mpc_
-    n = len(powers)
-    working = max(workings)
+    qr, qi = to_fixed(qr, bits + g), to_fixed(qi, bits + g)
     with mpmath.workdps(working):
         re, im, terms, tail = 1, 0, 0, 0
-        for m, f, g, (est, _, stop) in zip(powers, bits, guards, passes):
-            qmr, qmi = _fixed_power(to_fixed(qr, f + g), to_fixed(qi, f + g), m, f + g)
-            (sr, si), count, bound = _pentagonal_sum((qmr >> g, qmi >> g), f, stop, est.real)
+        for m, (est, _, stop) in zip(powers, passes):
+            qmr, qmi = _fixed_power(qr, qi, m, bits + g)
+            (sr, si), count, bound = _pentagonal_sum((qmr >> g, qmi >> g), bits, stop, est.real)
             re, im = re * sr - im * si, re * si + im * sr
             terms = max(terms, count)
             tail += bound
-        log_s = mpmath.log(_fixed_mpc(re, im, sum(bits)))
+        # (re + i im) 2^-(n F), rounded once to the working precision
+        log_s = mpmath.log(mpmath.mpc(mpmath.ldexp(re, -n * bits), mpmath.ldexp(im, -n * bits)))
         k = _branch(log_s, sum(est.imag for est, _, _ in passes), z)
         # the mean, part by part
         c = mpmath.pi * sum(powers) / (12 * n)
@@ -443,6 +433,9 @@ class VerificationReport(NamedTuple):
         return max(self.lhs_terms, self.rhs_terms)
 
     def passed(self, tolerance) -> bool:
+        # text must match the CLI's number grammar, as mpmath reads more
+        if isinstance(tolerance, str):
+            check_tolerance(tolerance)
         return self.residual < mpmath.mpf(tolerance)
 
     def to_dict(self, tolerance=None) -> dict:

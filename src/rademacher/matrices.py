@@ -8,16 +8,21 @@ in the coset W_p Gamma0(p), stored exactly through the normal form
     (1/sqrt p) (p*alpha, beta; p*gamma, p*delta),   p*alpha*delta - beta*gamma = 1.
 
 All arithmetic is exact; sqrt(p) never appears outside the eta module.
+Each value type takes int entries only.  The number grammars of the
+command line live here too: integer, and the rational one _is_number
+gates.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from operator import attrgetter
 
 from .errors import (
     DeterminantError,
     DivisibilityError,
+    DomainError,
     NotOddPrimeError,
     ParseError,
     PrimeMismatchError,
@@ -81,6 +86,14 @@ def is_odd_prime(p: int) -> bool:
     return True
 
 
+def check_ints(what: str, values) -> None:
+    """DomainError naming the type of the first value that is not an int.
+    A bool is an int here, as everywhere in Python (True is 1)."""
+    for x in values:
+        if not isinstance(x, int):
+            raise DomainError(f"{what} must be an int, not {type(x).__name__}")
+
+
 def check_odd_prime(p: int) -> None:
     """NotOddPrimeError unless p is an int and is_odd_prime(p)."""
     if not isinstance(p, int):
@@ -102,6 +115,40 @@ def integer(text: str) -> int:
     if re.fullmatch(r"[+-]?[0-9]+", text) is None:
         raise ValueError(f"not an integer: {text!r}")
     return int(text)
+
+
+# at most this many digits in a number, the ceiling Python puts on
+# int("..."); render's rational flags also bound the exponent by it
+MAX_DIGITS = 4300
+# the exponent bound of --z and --tolerance: mpmath reads an exponent in
+# time quadratic in its digits, and 10^5 still reaches point_too_large
+# (--z=0.1,1e5000) and residuals far below 1e-4300
+MAX_EXPONENT = 10**5
+# every non-integer number the CLI reads: p/q with q > 0, or a decimal such
+# as 5, -.5, 5. or 2.5e-3, a leading point followed by a nonzero digit
+# (mpmath fails on .0); ASCII digits only as in integer; group 1 is the
+# exponent
+_RATIONAL = (
+    r"[+-]?(?:[0-9]+/0*[1-9][0-9]*|(?:[0-9]+(?:\.[0-9]*)?|\.0*[1-9][0-9]*)(?:[eE]([+-]?[0-9]+))?)")
+
+
+def _is_number(text: str, max_exponent: int) -> bool:
+    # the only gate before Fraction or mpmath reads text: both would take
+    # padding, _ and non-ASCII digits, and fail on p/0
+    match = re.fullmatch(_RATIONAL, text)
+    return (match is not None and sum(map(str.isdigit, text)) <= MAX_DIGITS
+            and abs(int(match[1] or 0)) <= max_exponent)
+
+
+def check_tolerance(text: str) -> None:
+    """ParseError unless text is a number of the grammar above with an
+    exponent of at most MAX_EXPONENT; the message names the bound when only
+    the exponent breaks it."""
+    if not _is_number(text, MAX_EXPONENT):
+        if _is_number(text, math.inf):
+            raise ParseError(f"tolerance must be a number with an exponent of at most "
+                             f"{MAX_EXPONENT}, got {text!r}")
+        raise ParseError(f"tolerance must be a number, got {text!r}")
 
 
 def parse_integers(text: str, count: int | None = None, arg: str | None = None,
@@ -158,6 +205,9 @@ class UnimodularMatrix(_Value):
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a: int, b: int, c: int, d: int):
+        if not (isinstance(a, int) and isinstance(b, int) and isinstance(c, int)
+                and isinstance(d, int)):
+            check_ints("a matrix entry", (a, b, c, d))
         det = a * d - b * c
         if det != 1:
             raise DeterminantError(f"determinant is {int_text(det)}, expected 1")
@@ -213,6 +263,7 @@ class FrickeElement(_Value):
     def __init__(self, p: int, kind: str, q: tuple[int, int, int, int]):
         check_odd_prime(p)
         a, b, c, d = q
+        check_ints("an element entry", q)
         if kind == GAMMA0:
             if a * d - b * c != 1:
                 raise DeterminantError("Gamma0 part must have determinant 1")

@@ -24,8 +24,8 @@ from __future__ import annotations
 
 from math import gcd
 
-from .errors import NotAnEdgeError, ParseError, WrongBaseEdgeError
-from .matrices import UnimodularMatrix, _Value, int_text
+from .errors import DomainError, NotAnEdgeError, ParseError, WrongBaseEdgeError
+from .matrices import UnimodularMatrix, _Value, check_ints, int_text
 
 EdgeWord = tuple[int, ...]
 
@@ -36,6 +36,7 @@ class Farey(_Value):
     __slots__ = ("n", "d")
 
     def __init__(self, n: int, d: int):
+        check_ints("a Farey part", (n, d))
         g = gcd(n, d)
         if g == 0:
             raise ParseError("0/0 is not a vertex")
@@ -68,6 +69,8 @@ def reconstruct(word) -> UnimodularMatrix:
 def decompose(g: UnimodularMatrix) -> EdgeWord:
     """A word w with reconstruct(w) = +-g.  Words are not unique; only PSL
     equality of the reconstruction is promised, plus no interior zeros."""
+    if not isinstance(g, UnimodularMatrix):
+        raise DomainError(f"g must be a UnimodularMatrix, not {type(g).__name__}")
     return tuple(_descend(g.a, g.b, g.c, g.d))
 
 

@@ -311,6 +311,36 @@ def test_a_determinant_beyond_4300_digits_is_named_by_its_bits(capsys, argv, bit
         ", expected 1" if argv[0] == "phi" else ""))
 
 
+NINES, SHORTER = "9" * 4300, "9" * 3000
+
+
+@pytest.mark.parametrize("argv", [
+    ["phi", f"--matrix={NINES},{int(NINES) - 1},1,1"],
+    ["phi-p", "--p=5", f"--matrix=1,{NINES},0,1"],
+    ["km", f"--word={NINES},{NINES}"],
+    ["endpoints", f"--word={SHORTER},{SHORTER}"],
+    ["render", f"--word={SHORTER},{SHORTER}"],
+], ids=["phi", "phi-p", "km", "endpoints", "render"])
+def test_a_result_beyond_4300_digits_is_refused(capsys, argv):
+    # each ended as internal, a ValueError raised while printing the result:
+    # Phi = 10^4300, Phi_p = 3 (10^4300 - 1), a trace of 2 (10^4300 - 1),
+    # and a vertex (10^3000 - 1)^2 - 1 in the endpoints and the labels
+    for plain in ([], ["--plain"]):
+        code, payload = run_json(capsys, plain + argv)
+        assert code == 1 and payload["error"]["code"] == "result_too_large"
+        assert payload["error"]["message"].endswith("more than the 4300 digits the "
+                                                    "command line prints")
+
+
+def test_a_result_of_4300_digits_is_printed(capsys):
+    code, payload = run_json(capsys, ["km", f"--word={NINES}"])
+    assert code == 0 and len(str(payload["trace"])) == len(str(payload["phi"])) == 4300
+    # without labels no vertex is printed
+    assert run(["render", f"--word={SHORTER},{SHORTER}", "--no-labels"]) == 0
+    svg = capsys.readouterr().out
+    assert svg.startswith("<svg ") and len(svg.encode()) == 757
+
+
 def test_usage_error_exit_2(capsys):
     assert run(["bogus"]) == 2
     assert run([]) == 2

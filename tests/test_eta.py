@@ -17,6 +17,7 @@ from rademacher.errors import (
     ImaginaryPartError,
     NotOddPrimeError,
     NotUpperHalfPlaneError,
+    ParseError,
     PointTooLargeError,
     PrimeTooLargeError,
 )
@@ -318,8 +319,10 @@ def _assert_sums_agree(monkeypatch, z, prec, p=1):
     # each fixed-point sum log_eta_p(z) runs, over q^m for m in (1,) or
     # (1, p), has one stopping test and a q^m within 2 units of
     # e^(2 pi i m w), w = z mod 1 as the library rounds it, and is within
-    # its rounding budget, 2^-prec at its working precision, of the mpc
-    # loop at m w run 64 bits finer
+    # its rounding budget, 2^-prec at the side's working precision, of the
+    # mpc loop at m w run 64 bits finer.  Both sums share the side's one
+    # fixed point: the working precision in bits, which carries the larger
+    # cancellation guard, plus 3 times the larger n_bits
     calls, stops = [], []
     fixed, stopping = eta._pentagonal_sum, eta._stopping_test
 
@@ -342,10 +345,11 @@ def _assert_sums_agree(monkeypatch, z, prec, p=1):
         z = mpmath.mpc(z)
         w = mpmath.mpc(mpmath.frac(z.real), z.imag)
         ys = [min(m * w.imag, eta._Y_FLOAT_CAP) for m in powers]
+    cancel = max(max(0, math.ceil(-est / math.log(10))) for (_, _, _, est), _ in calls)
+    bits = mpmath.libmp.dps_to_prec(digits + cancel)
+    side = bits + 3 * max(stop[3] for (_, _, stop, _), _ in calls)
     for ((q, scale, stop, est), ((re, im), terms, bound)), m, y in zip(calls, powers, ys):
-        # the working precision in bits carries the cancellation guard
-        bits = mpmath.libmp.dps_to_prec(digits + max(0, math.ceil(-est / math.log(10))))
-        assert scale == bits + 3 * stop[3], (p, z)
+        assert scale == side, (p, z)
         with mpmath.workprec(scale + 64):
             qm = mpmath.mpc(mpmath.ldexp(q[0], -scale), mpmath.ldexp(q[1], -scale))
             assert abs(qm - mpmath.expjpi(2 * m * w)) <= mpmath.ldexp(2, -scale), (p, z)
@@ -495,6 +499,22 @@ def test_pentagonal_sum_signs_in_the_step(monkeypatch):
     assert powers == [1, 3, 5, 3]
 
 
+def test_one_fixed_point_per_side(monkeypatch):
+    # a side is sized once: q is truncated by one to_fixed per part, the
+    # point is used as the caller formed it, and both sums of a level-p
+    # side run in one fixed point, here though only the sum at q cancels
+    source = textwrap.dedent(inspect.getsource(eta._log_eta_p_eval))
+    calls = [node.func.id for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+    assert calls.count("to_fixed") == 2 and "mpmath.mpc(z)" not in source
+    scales, fixed = [], eta._pentagonal_sum
+    monkeypatch.setattr(eta, "_pentagonal_sum",
+                        lambda *args: scales.append(args[1]) or fixed(*args))
+    result = log_eta_p(5, mpmath.mpc("0.3", "0.002"), prec=50)
+    assert len(scales) == 2 and scales[0] == scales[1]
+    assert result == log_eta_p(5, mpmath.mpc("0.3", "0.002"), prec=50)
+
+
 def test_verify_eta_transform_examples():
     with mp(50):
         i = mpmath.mpc(0, 1)
@@ -572,6 +592,19 @@ def test_precision_scaling_no_plateau():
             assert r < mpmath.mpf(10) ** (-(prec - 15))
         assert rs[1] < rs[0] * mpmath.mpf(10) ** -30
         assert rs[2] < rs[1] * mpmath.mpf(10) ** -30
+
+
+@pytest.mark.parametrize("tolerance", ["\u0661", " 1e-40 ", "1_0"],
+                         ids=["arabic-indic", "padded", "underscore"])
+def test_text_tolerance_is_read_by_the_cli_grammar(tolerance):
+    # mpmath read these as 1, 1e-40 and 10, so passed returned True for each
+    report = verify_eta_transform(T, mpmath.mpc(0, 1), prec=50)
+    for call in (report.passed, lambda text: report.to_dict(tolerance=text)):
+        with pytest.raises(ParseError, match="tolerance must be a number, got") as info:
+            call(tolerance)
+        assert info.value.code == "parse"
+    assert report.passed("1e-40") and report.passed(mpmath.mpf("1e-40"))
+    assert not report.passed(0) and report.to_dict(tolerance="1e-40")["pass"] is True
 
 
 def test_report_dict_shape():

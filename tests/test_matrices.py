@@ -8,9 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rademacher import matrices
+from rademacher.dedekind import rademacher_phi
 from rademacher.errors import (
     DeterminantError,
     DivisibilityError,
+    DomainError,
     NotOddPrimeError,
     ParseError,
     PrimeMismatchError,
@@ -31,7 +33,7 @@ from rademacher.matrices import (
     sgn,
     t_power,
 )
-from rademacher.words import Farey
+from rademacher.words import Farey, decompose
 
 words = st.lists(st.integers(-5, 5), min_size=0, max_size=8)
 
@@ -295,6 +297,29 @@ def test_value_types_are_immutable_values(value, field):
     assert pickle.loads(pickle.dumps(value)) == value
     # type-strict: never equal to the tuple of its fields
     assert value != tuple(getattr(value, name) for name in value.__slots__)
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: UnimodularMatrix(2.0, 1, 1, 1), "float"),
+    (lambda: FrickeElement.coset(5, 0.0, -1, 1, 0), "float"),
+    (lambda: Farey(1.5, 2), "float"),
+    (lambda: decompose((1, 0, 0, 1)), "tuple"),
+    (lambda: rademacher_phi((1, 0, 0, 1)), "tuple"),
+], ids=["matrix", "coset", "farey", "decompose", "rademacher_phi"])
+def test_value_types_take_ints_only(build, name):
+    # each was accepted or failed on its own: rademacher_phi returned 3.0 for
+    # the float matrix, Farey(1.5, 2) ended in a TypeError, and a bare tuple
+    # in an AttributeError
+    with pytest.raises(DomainError, match=f"must be an? [A-Za-z ]+, not {name}$") as info:
+        build()
+    assert info.value.code == "domain"
+
+
+def test_a_bool_is_an_int():
+    # the one decision about bool, as Python's own: True is the int 1
+    assert UnimodularMatrix(True, 1, False, True) == UnimodularMatrix(1, 1, 0, 1)
+    assert rademacher_phi(UnimodularMatrix(True, 1, False, True)) == 1
+    assert Farey(True, 2) == Farey(1, 2)
 
 
 def test_value_types_repr():
