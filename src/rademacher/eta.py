@@ -34,21 +34,14 @@ requested precision in decimal digits.  The evaluation has three stages.
    digits on top of the GUARD_DIGITS carried everywhere.
 2. Each sum runs over n = 0, +-1, +-2, ... in complex fixed point, the sign
    (-1)^n riding in the step between terms: q^m and its powers are pairs of
-   Python ints scaled by 2^F, with F, one per side, the working precision
-   in bits plus 3 bits per bit of twice the largest summand count the
-   stopping tests predict.  q is formed and truncated once, and q^m comes
-   by binary powering, within 2 units 2^-F (proof at _log_eta_p_eval).
-   Every factor has modulus <= 1 and each product is truncated by less
-   than one unit per part, so S_N is within N^3/2 * 2^-F < 2^-prec of the
-   exact partial sum (proof at _pentagonal_sum): below the 10^-working of
-   the working precision, which carries every cancellation guard, so S_N
-   keeps digits + magnitude digits relative to |S_m|.  After the terms
-   +-n the exponents left are distinct integers >= e = (n+1)(3n+2)/2, so
-   the dropped tail is at most t = |q|^e / (1 - |q|) and the logarithm
-   moves by at most -log(1 - t/|S_n|).  The sum stops once that bound is
-   below 10^-(P+10).  The test runs in log space on the top 60 bits of
-   S_n: |q|^e leaves the double range long before it reaches 10^-(P+10)
-   near a cusp.
+   Python ints over 2^F, F, one per side, the working precision in bits
+   plus 3 bits per bit of twice the largest predicted summand count.  S_N
+   is within N^3/2 * 2^-F < 2^-prec of the exact partial sum, below the
+   10^-working that carries every cancellation guard (proofs at
+   _log_eta_p_eval and _pentagonal_sum).  The sum stops once its proved
+   tail moves the logarithm by less than 10^-(P+10), a test run in log
+   space on the top 60 bits of S_n: |q|^e leaves the double range long
+   before it reaches 10^-(P+10) near a cusp.
 3. The sums are multiplied exactly as integers, and one Log of the
    product follows.
 
@@ -60,12 +53,15 @@ Points with Im z below Y_MIN are refused before any series as too costly:
 the summands grow like sqrt(P / Im z) and the cancellation guard like
 1 / Im z digits.
 
-Both sides of a transformation law are about as large as |z| and |g z|,
-p |z| and p |g z| for the level-p law, so the verify functions carry
-ceil(log10 of the largest) more digits when that is positive (the
-magnitude guard), and the residual stays an absolute 10^-P certificate.
-Beyond 10^MAGNITUDE_MAX_DIGITS they refuse the point (PointTooLargeError)
-as too costly.
+The verify functions read z as the dyadic rational it is and form g z
+once, from exact integers, each part rounded once (_guarded_points).  The
+sides of a law are about as large as p |z| and p |g z| (p = 1 for the
+classical law), so the checks carry ceil(log10 of the largest) more
+digits when that is positive (the magnitude guard), and the residual stays
+an absolute 10^-P certificate.  Beyond 10^MAGNITUDE_MAX_DIGITS they refuse
+the point (PointTooLargeError) as too costly.  A side, the automorphy
+term, the rhs and the residual are computed on mpmath.libmp raw tuples,
+each operation rounded once; mpc objects only carry points and values.
 
 eta_p_branch_ratio measures how the additive branch relates to the
 principal 2k-th root of Delta_p = eta^k(z) eta^k(p z): the ratio is the
@@ -85,11 +81,15 @@ call, before any arithmetic at that precision.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 from typing import NamedTuple
 
 import mpmath
-from mpmath.libmp import dps_to_prec, to_fixed
+from mpmath.libmp import (dps_to_prec, from_float, from_int, from_man_exp, from_rational, fzero,
+                          mpc_abs, mpc_add, mpc_expjpi, mpc_log, mpc_shift, mpc_sub, mpf_add,
+                          mpf_div, mpf_exp, mpf_frac, mpf_mul, mpf_mul_int, mpf_pi, mpf_pos,
+                          mpf_shift, mpf_sub, round_nearest, to_fixed, to_float)
 
 from .dedekind import rademacher_phi
 from .errors import DomainError, ImaginaryPartError, NotUpperHalfPlaneError, PointTooLargeError
@@ -111,6 +111,7 @@ _FLOAT_CUTOFF_LOG = 30 * math.log(2)
 # loosens the tail bound, which grows with |q|
 _Y_FLOAT_CAP = 1e6
 _LOG2 = math.log(2)
+_RND = round_nearest  # every raw operation, as in mpmath's default context
 
 
 class _LogEta(NamedTuple):
@@ -136,24 +137,25 @@ def _nstr(x, n: int) -> str:
         return mpmath.nstr(+x, n)
 
 
-def _check_imaginary_part(z, prec: int) -> None:
-    """ImaginaryPartError if Im z < Y_MIN, before any series runs at z."""
-    y = z.imag
-    if float(y) < Y_MIN:
-        # summands until |q|^e < 10^-digits: e ~ 3 n^2 / 2 = digits log 10 / (2 pi y)
-        est = 2 * mpmath.sqrt((prec + GUARD_DIGITS) * mpmath.log(10) / (3 * mpmath.pi * y)) + 1
-        shown = str(int(est)) if est < 1e15 else _nstr(est, 3)
-        raise ImaginaryPartError(
-            f"Im(z) = {_nstr(y, 8)} below threshold {Y_MIN}; the "
-            f"pentagonal series would need about {shown} terms"
-        )
+def _check_imaginary_part(y, prec: int) -> None:
+    """ImaginaryPartError if the raw Im z = y is below Y_MIN, before any series runs at z."""
+    if to_float(y, rnd=_RND) < Y_MIN:
+        with mpmath.workdps(prec + GUARD_DIGITS):
+            y = mpmath.mp.make_mpf(y)
+            # summands until |q|^e < 10^-digits: e ~ 3 n^2 / 2 = digits log 10 / (2 pi y)
+            est = 2 * mpmath.sqrt((prec + GUARD_DIGITS) * mpmath.log(10) / (3 * mpmath.pi * y)) + 1
+            shown = str(int(est)) if est < 1e15 else _nstr(est, 3)
+            raise ImaginaryPartError(
+                f"Im(z) = {_nstr(y, 8)} below threshold {Y_MIN}; the "
+                f"pentagonal series would need about {shown} terms"
+            )
 
 
 def _checked_point(z, prec: int):
-    """z as an mpc at prec + GUARD_DIGITS digits; NotUpperHalfPlaneError
-    unless z is a number mpmath reads without parsing text and both parts
-    are finite with Im z > 0 (before anything converts z to a float), then
-    _check_imaginary_part."""
+    """z as an mpc, exactly as given (a point off the real axis is a
+    complex or an mpc); NotUpperHalfPlaneError unless z is a number mpmath
+    reads without parsing text and both parts are finite with Im z > 0
+    (before anything converts z to a float), then _check_imaginary_part."""
     if not isinstance(z, (int, float, complex, mpmath.mpf, mpmath.mpc)):
         raise NotUpperHalfPlaneError(
             f"z must be an int, float, complex, mpf or mpc, not {type(z).__name__}"
@@ -164,7 +166,7 @@ def _checked_point(z, prec: int):
             raise NotUpperHalfPlaneError(
                 f"z = {_nstr(z, 8)} is not a finite point with Im(z) > 0"
             )
-        _check_imaginary_part(z, prec)
+    _check_imaginary_part(z._mpc_[1], prec)
     return z
 
 
@@ -207,10 +209,10 @@ def _stopping_test(y, log_abs_s_est: float, digits: int):
 def _pentagonal_sum(q, bits: int, stop, log_abs_s_est: float):
     """Partial sum S_N of sum (-1)^n q^(n(3n-1)/2) with
     |Log S - Log S_N| <= 10^-digits; returns ((re, im), summands, bound)
-    with S_N = (re + i im) 2^-F exactly, F = bits.  q is the pair (re, im)
-    of q over 2^F, within 2 units of it (_log_eta_p_eval); stop is
-    _stopping_test's data for q at digits, and F at least the working
-    precision in bits plus 3 n_bits.
+    with S_N = (re + i im) 2^-F exactly, F = bits, and bound a raw mpf.  q
+    is the pair (re, im) of q over 2^F, within 2 units of it
+    (_log_eta_p_eval); stop is _stopping_test's data for q at digits, and F
+    at least the working precision in bits plus 3 n_bits.
 
     Tail after the terms +-n: exponents >= e = (n+1)(3n+2)/2, so at most
     t = |q|^e / (1 - |q|), and Log moves by at most -log(1 - t/|S_N|),
@@ -241,10 +243,9 @@ def _pentagonal_sum(q, bits: int, stop, log_abs_s_est: float):
     for N = 2 n + 1 summands.
     guard >= 3 n_bits (_stopping_test), so N^3 / 2 < 2^guard and S_N is
     within 2^-prec of the exact partial sum; an N of 2^n_bits or more
-    raises ArithmeticError.  mpmath's mpc sum carried 10^-working relative
-    to each operation instead, so the fixed point is no less accurate:
-    near a cusp, where |S| ~ 1e-113, the cancellation guard in prec still
-    leaves digits + magnitude digits relative to |S|.
+    raises ArithmeticError.  Near a cusp, where |S| ~ 1e-113, the
+    cancellation guard in prec still leaves digits + magnitude digits
+    relative to |S|.
     """
     log_absq, log_tail_den, target, n_bits = stop
     qr, qi = q
@@ -277,10 +278,8 @@ def _pentagonal_sum(q, bits: int, stop, log_abs_s_est: float):
         )
     sizes = abs(e * log_absq) + abs(log_tail_den) + abs(log_t - log_u) + abs(log_u)
     slack = (sizes + 100) * 2.0**-48
-    with mpmath.workprec(64):
-        u = mpmath.exp(log_u + slack)
-        bound = u + u * u
-    return (sr, si), 2 * n + 1, bound
+    u = mpf_exp(from_float(log_u + slack), 64, _RND)
+    return (sr, si), 2 * n + 1, mpf_add(u, mpf_mul(u, u, 64, _RND), 64, _RND)
 
 
 def _fixed_power(qr: int, qi: int, p: int, bits: int):
@@ -294,37 +293,14 @@ def _fixed_power(qr: int, qi: int, p: int, bits: int):
     return rr, ri
 
 
-def _float_pass(x, y, digits: int):
-    """(A, cancel, stop) at x + i y, y capped to _Y_FLOAT_CAP: the float pass
-    A = sum Log(1 - q^n), the cancellation guard ceil(-log10 |S|) in digits,
-    at least 0, and _stopping_test's data at digits."""
-    y = min(y, _Y_FLOAT_CAP)
-    est = _float_log_product(float(x), float(y))
-    cancel = max(0, math.ceil(-est.real / math.log(10)))
-    return est, cancel, _stopping_test(y, est.real, digits)
-
-
-def _branch(log_s, a_imag: float, z) -> int:
-    """The integer k = round((Im A - Im Log S) / 2 pi) that puts Log S on
-    the branch of the float pass A; ArithmeticError beyond a quarter turn."""
-    turns = (a_imag - float(log_s.imag)) / (2 * math.pi)
-    k = round(turns)
-    if abs(turns - k) > 0.25:
-        raise ArithmeticError(
-            f"branch of log eta at z = {_nstr(z, 8)} is ambiguous: "
-            f"{turns:.3f} turns between the float pass and Log S"
-        )
-    return k
-
-
 def _log_eta_p_eval(p: int, z, prec: int, magnitude: int = 0) -> _LogEta:
     """log eta_p(z) to 10^-prec with its truncation data, p = 1 meaning
-    log eta(z), by the three stages of the module docstring; z comes from
-    _checked_point or _guarded_points at the digits + magnitude digits
-    carried throughout, digits = prec + GUARD_DIGITS.  With S_m the
-    pentagonal sum of q^m over the n powers m in (1,) or (1, p), the mean
-    of log eta(m z) is (pi i (sum m) z / 12 + Log prod S_m + 2 pi i k) / n,
-    k from the sum of the float passes, itself a logarithm of prod S_m.
+    log eta(z), by the three stages of the module docstring on raw tuples;
+    z comes from _checked_point or _guarded_points, and digits + magnitude
+    digits are carried throughout, digits = prec + GUARD_DIGITS.  With S_m
+    the pentagonal sum of q^m over the n powers m in (1,) or (1, p), the
+    mean of log eta(m z) is (pi i (sum m) z / 12 + Log prod S_m + 2 pi i k)
+    / n, k from the sum of the float passes, a logarithm of prod S_m.
 
     The side is sized once: one working precision digits + magnitude +
     max_m cancel_m, one fixed point F, its bits plus 3 max_m n_bits
@@ -349,35 +325,52 @@ def _log_eta_p_eval(p: int, z, prec: int, magnitude: int = 0) -> _LogEta:
     powers = (1,) if p == 1 else (1, p)
     n = len(powers)
     digits = prec + GUARD_DIGITS
-    with mpmath.workdps(digits + magnitude):
-        y = z.imag
-        # q has period 1 in Re z, so a huge Re z costs nothing below
-        x = mpmath.frac(z.real)
-        # the series of q^m at m x mod 1 + i m y
-        passes = [_float_pass(mpmath.frac(m * x), m * y, digits) for m in powers]
-        w = mpmath.mpc(x, y)
+    point = dps_to_prec(digits + magnitude)
+    re, im = z._mpc_
+    # q has period 1 in Re z, so a huge Re z costs nothing below
+    x = mpf_frac(re, point, _RND)
+    passes = []
+    for m in powers:
+        # the float pass at m x mod 1 + i m y, with its cancellation guard
+        # ceil(-log10 |S_m|) >= 0 and stopping data; a capped y only loosens
+        ym = min(to_float(mpf_mul_int(im, m, point, _RND), rnd=_RND), _Y_FLOAT_CAP)
+        est = _float_log_product(to_float(mpf_frac(mpf_mul_int(x, m, point, _RND), point, _RND),
+                                          rnd=_RND), ym)
+        passes.append((est, max(0, math.ceil(-est.real / math.log(10))),
+                       _stopping_test(ym, est.real, digits)))
     working = digits + magnitude + max(cancel for _, cancel, _ in passes)
-    bits = dps_to_prec(working) + 3 * max(stop[3] for _, _, stop in passes)
+    wp = dps_to_prec(working)
+    bits = wp + 3 * max(stop[3] for _, _, stop in passes)
     g = p.bit_length() + 3
-    with mpmath.workprec(bits + g + 10):
-        qr, qi = mpmath.expjpi(2 * w)._mpc_
+    y = mpf_pos(im, point, _RND)
+    qr, qi = mpc_expjpi((mpf_shift(x, 1), mpf_shift(y, 1)), bits + g + 10, _RND)
     qr, qi = to_fixed(qr, bits + g), to_fixed(qi, bits + g)
-    with mpmath.workdps(working):
-        re, im, terms, tail = 1, 0, 0, 0
-        for m, (est, _, stop) in zip(powers, passes):
-            qmr, qmi = _fixed_power(qr, qi, m, bits + g)
-            (sr, si), count, bound = _pentagonal_sum((qmr >> g, qmi >> g), bits, stop, est.real)
-            re, im = re * sr - im * si, re * si + im * sr
-            terms = max(terms, count)
-            tail += bound
-        # (re + i im) 2^-(n F), rounded once to the working precision
-        log_s = mpmath.log(mpmath.mpc(mpmath.ldexp(re, -n * bits), mpmath.ldexp(im, -n * bits)))
-        k = _branch(log_s, sum(est.imag for est, _, _ in passes), z)
-        # the mean, part by part
-        c = mpmath.pi * sum(powers) / (12 * n)
-        value = mpmath.mpc(log_s.real / n - c * y,
-                           log_s.imag / n + c * z.real + 2 * mpmath.pi * k / n)
-        return _LogEta(value, terms, tail / n, working)
+    re_s, im_s, terms, tail = 1, 0, 0, fzero
+    for m, (est, _, stop) in zip(powers, passes):
+        qmr, qmi = _fixed_power(qr, qi, m, bits + g)
+        (sr, si), count, bound = _pentagonal_sum((qmr >> g, qmi >> g), bits, stop, est.real)
+        re_s, im_s = re_s * sr - im_s * si, re_s * si + im_s * sr
+        terms = max(terms, count)
+        tail = mpf_add(tail, bound, wp, _RND)
+    # (re_s + i im_s) 2^-(n F), rounded once to the working precision
+    log_r, log_i = mpc_log((from_man_exp(re_s, -n * bits, wp, _RND),
+                            from_man_exp(im_s, -n * bits, wp, _RND)), wp, _RND)
+    # the branch of the float passes, whose sum is a logarithm of prod S_m
+    turns = (sum(est.imag for est, _, _ in passes) - to_float(log_i, rnd=_RND)) / (2 * math.pi)
+    k = round(turns)
+    if abs(turns - k) > 0.25:
+        raise ArithmeticError(f"branch of log eta at z = {_nstr(z, 8)} is ambiguous: "
+                              f"{turns:.3f} turns between the float pass and Log S")
+    # the mean, part by part, with c = pi (sum m) / 12 n
+    pi = mpf_pi(wp, _RND)
+    c = mpf_div(mpf_mul_int(pi, sum(powers), wp, _RND), from_int(12 * n), wp, _RND)
+    n_mpf = from_int(n)
+    value = (mpf_sub(mpf_div(log_r, n_mpf, wp, _RND), mpf_mul(c, im, wp, _RND), wp, _RND),
+             mpf_add(mpf_add(mpf_div(log_i, n_mpf, wp, _RND), mpf_mul(c, re, wp, _RND), wp, _RND),
+                     mpf_div(mpf_mul_int(mpf_shift(pi, 1), k, wp, _RND), n_mpf, wp, _RND),
+                     wp, _RND))
+    return _LogEta(mpmath.mp.make_mpc(value), terms,
+                   mpmath.mp.make_mpf(mpf_div(tail, n_mpf, wp, _RND)), working)
 
 
 def log_eta(z, prec: int = DEFAULT_PRECISION):
@@ -462,51 +455,57 @@ def _format_complex(v, digits: int) -> str:
     return f"{_nstr(v.real, digits)},{_nstr(v.imag, digits)}"
 
 
-def _moebius(a, b, c, d, z):
-    """(a z + b) / (c z + d) for a real matrix of positive determinant.
-
-    The imaginary part is formed as det Im z / |c z + d|^2, which keeps
-    its digits where the quotient's would cancel near the real axis.
-    """
-    w = c * z + d
-    return mpmath.mpc(((a * z + b) / w).real,
-                      (a * d - b * c) * z.imag / (w.real ** 2 + w.imag ** 2))
-
-
 def _guarded_points(z, a, b, c, d, prec: int, p: int):
-    """(z, g z, guard) for g = (a, b; c, d), both points carried at
-    prec + GUARD_DIGITS + guard digits and checked for the series.
+    """(z, g z, guard, (u, v, s)) for g = (a, b; c, d): z and g z as mpc,
+    checked for the series, and c z + d = (u + i v) / 2^s.  z is the dyadic
+    (X + i Y) / 2^s, exact unless a part has bits below 2^-cap, cap =
+    dps_to_prec(prec + GUARD_DIGITS + MAGNITUDE_MAX_DIGITS): those are
+    dropped, a move far below what any side carries.  With u = c X + d 2^s
+    and v = c Y, g z is formed once,
 
-    Both sides of the level-p law are as large as pi p |z| / 12 or
-    pi p |g z| / 12 (its sides hold log eta(p z) and log eta(p g z); p = 1
-    for the classical law).  So the residual is an absolute 10^-P
-    certificate only if guard = max(0, ceil(log10(p max(|z|, |g z|))))
-    more digits are carried (the magnitude guard).  z is checked first,
-    then the magnitude, then Im(g z): all before any series runs.  The
-    points p z and p g z need no check, as Im(p z) = p Im z.
+        Re g z = ((a X + b 2^s) u + a Y v) / (u^2 + v^2),
+        Im g z = det Y 2^s / (u^2 + v^2),
+
+    each part rounded once at the final precision.  The sides of the
+    level-p law are as large as pi p |z| / 12 or pi p |g z| / 12 (they hold
+    log eta(p z) and log eta(p g z); p = 1 for the classical law).  So the
+    residual is an absolute 10^-P certificate only if guard =
+    max(0, ceil(log10(p max(|z|, |g z|)))) more digits are carried (the
+    magnitude guard), sized from those quotients in doubles.  z is checked
+    first, then the magnitude, then Im(g z): all before any series runs.
+    Im(p z) = p Im z needs no check.
     """
     digits = prec + GUARD_DIGITS
     w = _checked_point(z, prec)
-    with mpmath.workdps(digits):
-        gw = _moebius(a, b, c, d, w)
-    # doubles hold the sizes well enough for a digit count, up to 1e308
-    top = p * max(abs(complex(w)), abs(complex(gw)))
+    parts = [part for part in w._mpc_ if part[1]]
+    top, e = math.inf, max(part[2] + part[3] for part in parts)
+    # |z| >= 2^(e - 1): beyond this bound z is too long to read exactly,
+    # and the guard is above its bound even at 53 bits
+    if e - 1 <= (MAGNITUDE_MAX_DIGITS + 1 - math.log10(p)) / math.log10(2):
+        s = min(dps_to_prec(digits + MAGNITUDE_MAX_DIGITS), max(0, -min(part[2] for part in parts)))
+        x, y = (to_fixed(part, s) for part in w._mpc_)
+        num, u, v = a * x + (b << s), c * x + (d << s), c * y
+        den = u * u + v * v
+        gz = (num * u + a * y * v, (a * d - b * c) * y << s)
+        with contextlib.suppress(OverflowError):
+            # int / int rounds the quotient once
+            top = p * max(abs(complex(w)), abs(complex(gz[0] / den, gz[1] / den)))
     if top < math.inf:
         guard = math.ceil(math.log10(max(top, 1)))
     else:
-        guard = int(mpmath.ceil(mpmath.log10(p * max(abs(w), abs(gw)))))
+        # beyond the double range, sizes at mpmath's precision
+        guard = int(mpmath.ceil(mpmath.log10(p * max(abs(w), abs(a * w + b) / abs(c * w + d)))))
     if guard > MAGNITUDE_MAX_DIGITS:
         shown = guard if guard < 1e15 else _nstr(mpmath.mpf(guard), 3)
         raise PointTooLargeError(
             f"the sides of the law are about 10^{shown}, beyond "
             f"10^{MAGNITUDE_MAX_DIGITS}; the check would carry that many extra digits"
         )
-    with mpmath.workdps(digits + guard):
-        if guard:
-            w = mpmath.mpc(z)
-            gw = _moebius(a, b, c, d, w)
-        _check_imaginary_part(gw, prec)
-    return w, gw, guard
+    wp = dps_to_prec(digits + guard)
+    gz = tuple(from_rational(t, den, wp, _RND) for t in gz)
+    _check_imaginary_part(gz[1], prec)
+    z = (from_man_exp(x, -s), from_man_exp(y, -s))
+    return mpmath.mp.make_mpc(z), mpmath.mp.make_mpc(gz), guard, (u, v, s)
 
 
 def _verify(p: int, m, det: int, phi, z, prec: int) -> VerificationReport:
@@ -515,25 +514,25 @@ def _verify(p: int, m, det: int, phi, z, prec: int) -> VerificationReport:
     matrix m = (a, b; c, d) of determinant det; p = 1 is the classical law."""
     check_precision(prec)
     a, b, c, d = m
-    z, gz, guard = _guarded_points(z, a, b, c, d, prec, p)
-    with mpmath.workdps(prec + GUARD_DIGITS + guard):
-        lhs = _log_eta_p_eval(p, gz, prec, guard)
-        base = _log_eta_p_eval(p, z, prec, guard)
-        rhs = base.value + mpmath.pi * 1j * phi.numerator / (12 * phi.denominator)
-        if c != 0:
-            # w = (c z + d) / (i sgn c sqrt det) has Re w = |c| Im z / sqrt det
-            # > 0, so Log w = Log(w^2) / 2, and w^2 = -(c z + d)^2 / det
-            rhs += mpmath.log(-(c * z + d) ** 2 / det) / 4
-        return VerificationReport(
-            lhs.value,
-            rhs,
-            abs(lhs.value - rhs),
-            lhs.terms,
-            base.terms,
-            prec,
-            max(lhs.tail_bound, base.tail_bound),
-            max(lhs.working_digits, base.working_digits),
-        )
+    z, gz, guard, (u, v, s) = _guarded_points(z, a, b, c, d, prec, p)
+    lhs = _log_eta_p_eval(p, gz, prec, guard)
+    base = _log_eta_p_eval(p, z, prec, guard)
+    wp = dps_to_prec(prec + GUARD_DIGITS + guard)
+    phi_term = mpf_div(mpf_mul_int(mpf_pi(wp, _RND), phi.numerator, wp, _RND),
+                       from_int(12 * phi.denominator), wp, _RND)
+    rhs = mpc_add(base.value._mpc_, (fzero, phi_term), wp, _RND)
+    if c != 0:
+        # w = (c z + d) / (i sgn c sqrt det) has Re w = |c| Im z / sqrt det
+        # > 0, so Log w = Log(w^2) / 2, and w^2 = -(c z + d)^2 / det
+        # = -(u + i v)^2 / (det 4^s), rounded once per part
+        scale = det << 2 * s
+        w2 = (from_rational(v * v - u * u, scale, wp, _RND),
+              from_rational(-2 * u * v, scale, wp, _RND))
+        rhs = mpc_add(rhs, mpc_shift(mpc_log(w2, wp, _RND), -2), wp, _RND)
+    residual = mpc_abs(mpc_sub(lhs.value._mpc_, rhs, wp, _RND), wp, _RND)
+    return VerificationReport(lhs.value, mpmath.mp.make_mpc(rhs), mpmath.mp.make_mpf(residual),
+                              lhs.terms, base.terms, prec, max(lhs.tail_bound, base.tail_bound),
+                              max(lhs.working_digits, base.working_digits))
 
 
 def verify_eta_transform(

@@ -262,6 +262,7 @@ class FrickeElement(_Value):
 
     def __init__(self, p: int, kind: str, q: tuple[int, int, int, int]):
         check_odd_prime(p)
+        q = tuple(q)  # a list would be unhashable and unequal to its tuple twin
         a, b, c, d = q
         check_ints("an element entry", q)
         if kind == GAMMA0:

@@ -27,6 +27,9 @@ rounding budget.
 float_log_product is the product sum of log_eta_product in complex128,
 term by term until |q^n| < 2^-60; the library stops at 2^-30 and closes
 the rest in one expression.
+
+moebius is g z in mpc arithmetic, rounded at every operation; the library
+forms g z from exact integers and rounds each part once.
 """
 
 import cmath
@@ -167,3 +170,14 @@ def pentagonal_sum_mpc(w, y, log_abs_s_est: float, digits: int):
     log_absq = -2 * mpmath.pi * y
     u = mpmath.exp(e * log_absq) / (-mpmath.expm1(log_absq) * abs(s))
     return s, 2 * n + 1, -mpmath.log1p(-u)
+
+
+def moebius(a, b, c, d, z):
+    """(a z + b) / (c z + d) for a real matrix of positive determinant.
+
+    The imaginary part is formed as det Im z / |c z + d|^2, which keeps
+    its digits where the quotient's would cancel near the real axis.
+    """
+    w = c * z + d
+    return mpmath.mpc(((a * z + b) / w).real,
+                      (a * d - b * c) * z.imag / (w.real ** 2 + w.imag ** 2))

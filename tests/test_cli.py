@@ -135,11 +135,11 @@ FROZEN_VERIFY = [
       '9,-0.425830612095577697724432327365174873885160006936610217435886", "r'
       'hs": "0.860156288176872925694635988355372430074645065357147689446289,-'
       '0.425830612095577697724432327365174873885160006936610217435886", "resi'
-      'dual": "9.0216564e-71", "truncation_terms": 83, "lhs_terms": 83, "rhs_'
+      'dual": "4.9806235e-71", "truncation_terms": 83, "lhs_terms": 83, "rhs_'
       'terms": 13, "series": "pentagonal", "precision": 60, "tail_bound": "2.'
       '1646958e-74", "working_digits": 70, "tolerance": "1e-40", "pass": true'
       '}\n'),
-     'residual 9.0216564e-71\npass true\n'),
+     'residual 4.9806235e-71\npass true\n'),
     ('verify-theorem1 --p=7 --matrix=1,1,7,8 --z=0.2,0.9 --precision=100',
      0,
      ('{"lhs": "0.27009401725599151391233788483689138585096318024812277540762'
@@ -169,11 +169,11 @@ FROZEN_VERIFY = [
       '9,-0.425830612095577697724432327365174873885160006936610217435886", "r'
       'hs": "0.860156288176872925694635988355372430074645065357147689446289,-'
       '0.425830612095577697724432327365174873885160006936610217435886", "resi'
-      'dual": "9.0216564e-71", "truncation_terms": 83, "lhs_terms": 83, "rhs_'
+      'dual": "4.9806235e-71", "truncation_terms": 83, "lhs_terms": 83, "rhs_'
       'terms": 13, "series": "pentagonal", "precision": 60, "tail_bound": "2.'
       '1646958e-74", "working_digits": 70, "tolerance": "1e-200", "pass": fal'
       'se}\n'),
-     'residual 9.0216564e-71\npass false\n'),
+     'residual 4.9806235e-71\npass false\n'),
 ]
 
 

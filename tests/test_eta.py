@@ -1,8 +1,10 @@
 import ast
 import inspect
 import math
+import random
 import re
 import textwrap
+import time
 from fractions import Fraction
 
 import mpmath
@@ -10,7 +12,7 @@ import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import float_log_product, log_eta_product, pentagonal_sum_mpc
+from oracles import float_log_product, log_eta_product, moebius, pentagonal_sum_mpc
 from rademacher import eta
 from rademacher.errors import (
     DomainError,
@@ -30,8 +32,9 @@ from rademacher.eta import (
     verify_eta_transform,
     verify_theorem1,
 )
-from rademacher.fricke import k_of_p
+from rademacher.fricke import k_of_p, random_gamma0
 from rademacher.matrices import S, T, FrickeElement, UnimodularMatrix, fricke_involution
+from rademacher.words import reconstruct
 
 
 def mp(prec):
@@ -148,6 +151,97 @@ def test_level_p_magnitude_guard_counts_p():
     assert report.working_digits >= prec + GUARD_DIGITS + 18
 
 
+def _fraction(x):
+    sign, man, exp, _ = x._mpf_
+    return Fraction(-int(man) if sign else int(man)) * Fraction(2) ** exp
+
+
+def _assert_g_z_rounded_once(m, p, z, prec):
+    # the point is the caller's z exactly, and each part of g z is the
+    # Fraction value of g z rounded once, at the digits the guard sizes
+    a, b, c, d = m
+    x, y = _fraction(z.real), _fraction(z.imag)
+    w = c * x + d
+    den = w * w + c * c * y * y
+    exact = (((a * x + b) * w + a * c * y * y) / den, (a * d - b * c) * y / den)
+    if float(exact[1]) < eta.Y_MIN:
+        with pytest.raises(ImaginaryPartError):
+            eta._guarded_points(z, a, b, c, d, prec, p)
+        return
+    point, gz, guard, _ = eta._guarded_points(z, a, b, c, d, prec, p)
+    assert point._mpc_ == z._mpc_, (m, z)
+    top = p * max(abs(complex(z)), abs(complex(*map(float, exact))))
+    assert guard == math.ceil(math.log10(max(top, 1))), (m, z)
+    wp = mpmath.libmp.dps_to_prec(prec + GUARD_DIGITS + guard)
+    assert gz._mpc_ == tuple(mpmath.libmp.from_rational(t.numerator, t.denominator, wp, "n")
+                             for t in exact), (m, z)
+
+
+def _random_g_z_cases(count, prec):
+    # SL2(Z) words, Gamma0(p) elements and their W_p cosets, each at a free
+    # point or on its isometric circle |c z + d| = 1, now and then far out
+    rng = random.Random(20)
+    cases = []
+    for i in range(count):
+        p = rng.choice((3, 5, 7, 11, 13))
+        if i % 3 == 0:
+            g = reconstruct(tuple(rng.randint(-3, 3) for _ in range(rng.randint(1, 5))))
+            m, p = g.entries(), 1
+        else:
+            e = random_gamma0(p, rng, steps=2, entry_cap=30)
+            m = (fricke_involution(p) * e if i % 3 == 2 else e).integer_matrix()[0]
+        a, b, c, d = m
+        with mp(prec):
+            if c and i % 2:
+                w = mpmath.expjpi(mpmath.mpf(rng.uniform(0.1, 0.9))) * (1 if c > 0 else -1)
+                z = (w * mpmath.sqrt(a * d - b * c) - d) / c
+            else:
+                scale = mpmath.mpf(10) ** rng.choice((0, 0, 0, 5, 30))
+                z = mpmath.mpc(rng.uniform(-2, 2), rng.uniform(0.05, 2)) * scale
+        cases.append((m, p, z))
+    return cases
+
+
+def test_g_z_is_exact_rounded_once():
+    from test_acceptance import PANEL_CLASSICAL, PANEL_THEOREM1, _panel_z
+
+    prec = 100
+    cases = []
+    for entries, theta in PANEL_CLASSICAL:
+        cases.append((entries, 1, _panel_z(entries[2], entries[3], theta, prec)))
+    for p, kind, q, theta in PANEL_THEOREM1:
+        e = (FrickeElement.gamma0(p, UnimodularMatrix(*q)) if kind == "g"
+             else FrickeElement.coset(p, *q))
+        cases.append((e.integer_matrix()[0], p, _panel_z(q[2], q[3], theta, prec,
+                                                        scale=1 if kind == "g" else p)))
+    cases += _random_g_z_cases(500, prec)
+    assert len(cases) == 520
+    for m, p, z in cases:
+        _assert_g_z_rounded_once(m, p, z, prec)
+
+
+def test_tiny_real_part_answers_at_once():
+    # Re z = 2^-(10^7): reading z to its last bit would take integers of
+    # ten million bits; z is read to a bound below any guard instead
+    z = mpmath.mpc(mpmath.ldexp(1, -10**7), 0.5)
+    start = time.perf_counter()
+    reports = (verify_eta_transform(UnimodularMatrix(3, 1, 8, 3), z, prec=50),
+               verify_theorem1(fricke_involution(5), z, prec=50))
+    assert time.perf_counter() - start < 1
+    assert all(report.residual < mpmath.mpf(10) ** -50 for report in reports)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_exact_zeros_stay_exact_at_w_p(p):
+    # on the imaginary axis every q is real, so both sides of the W_p law
+    # have imaginary part 0 exactly, the fixed point i / sqrt p included
+    with mp(50):
+        points = (mpmath.mpc(0, 1) / mpmath.sqrt(p), mpmath.mpc(0, "0.37"))
+    for z in points:
+        report = verify_theorem1(fricke_involution(p), z)
+        assert report.lhs.imag == report.rhs.imag == 0, z
+
+
 def test_mapped_point_near_axis_is_too_small_not_off_plane():
     # Im(g z) = Im z / |c z + d|^2 is formed directly, so it stays positive
     with mp(50):
@@ -258,10 +352,10 @@ def _panel_level_points(prec):
         for p, kind, q, theta in PANEL_THEOREM1:
             if kind == "g":
                 z = _panel_z(q[2], q[3], theta, prec)
-                ez = eta._moebius(*q, z)
+                ez = moebius(*q, z)
             else:
                 z = _panel_z(q[2], q[3], theta, prec, scale=p)
-                ez = eta._moebius(p * q[0], q[1], p * q[2], p * q[3], z)
+                ez = moebius(p * q[0], q[1], p * q[2], p * q[3], z)
             yield from ((p, z), (p, ez))
 
 
@@ -273,7 +367,7 @@ def _panel_points(prec):
         for entries, theta in PANEL_CLASSICAL:
             g = UnimodularMatrix(*entries)
             z = _panel_z(g.c, g.d, theta, prec)
-            yield from (z, eta._moebius(*entries, z))
+            yield from (z, moebius(*entries, z))
         for p, z in _panel_level_points(prec):
             yield from (z, p * z)
 
@@ -359,6 +453,7 @@ def _assert_sums_agree(monkeypatch, z, prec, p=1):
             assert abs(s - s_ref) <= mpmath.ldexp(1, -bits), (p, z)
             # the tail bound from the doubles of the stopping test is rounded
             # up, never below the one computed at working precision
+            bound = mpmath.mpf(bound)
             assert bound_ref <= bound <= bound_ref * (1 + mpmath.ldexp(1, -20)), (p, z)
 
 
@@ -559,12 +654,16 @@ def test_one_q_and_one_log_per_side(monkeypatch, verify, g):
     # a side of either law forms q once and takes one Log, and a check adds
     # the Log of -(c z + d)^2 / det as the third: a q or a Log per series
     # on the level-p side, or a square root in the automorphy term, would
-    # show here
+    # show here.  The eta module calls mpmath.libmp's entry points; the
+    # spies on mpmath's object layer show that nothing else forms q, a Log
+    # or a root
     calls = []
-    for name in ("expjpi", "log", "sqrt"):
-        real = getattr(mpmath, name)
-        monkeypatch.setattr(mpmath, name, lambda *args, _real=real, _name=name:
-                            calls.append(_name) or _real(*args))
+    for module, names in ((eta, ("mpc_expjpi", "mpc_log")), (mpmath, ("expjpi", "log", "sqrt"))):
+        for name in names:
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, _real=real, _name=name:
+                                calls.append(_name) or _real(*args))
+    assert not [name for name in vars(eta) if "sqrt" in name]
     with mp(100):
         z = mpmath.mpc("0.2", "0.3")
     result = verify(*((z,) if g is None else (g, z)), prec=100)
@@ -573,8 +672,8 @@ def test_one_q_and_one_log_per_side(monkeypatch, verify, g):
         expected = (2, 3)
     else:
         expected = (1, 1)
-    assert (calls.count("expjpi"), calls.count("log")) == expected
-    assert calls.count("sqrt") == 0
+    assert (calls.count("mpc_expjpi"), calls.count("mpc_log")) == expected
+    assert [name for name in calls if not name.startswith("mpc_")] == []
 
 
 def test_precision_scaling_no_plateau():

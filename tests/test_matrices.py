@@ -164,6 +164,14 @@ def test_fricke_construction():
     assert w5.kind == COSET and w5.q == (0, -1, 1, 0)
 
 
+def test_fricke_list_quadruple_is_its_tuple_twin():
+    # the quadruple is stored as a tuple, so an element built from a list
+    # hashes and compares as its twin
+    e = FrickeElement(5, GAMMA0, [1, 0, 5, 1])
+    twin = FrickeElement.gamma0(5, UnimodularMatrix(1, 0, 5, 1))
+    assert e == twin and hash(e) == hash(twin) and e.q == (1, 0, 5, 1)
+
+
 def test_fricke_matrix_view():
     e = FrickeElement.gamma0(5, T)
     assert e.matrix == T
