@@ -50,6 +50,7 @@ def _parse_word(text: str) -> tuple[int, ...]:
 
 def _parse_z(text: str, prec: int):
     import mpmath
+    from mpmath.libmp import dps_to_prec, from_str, round_nearest
 
     from .eta import GUARD_DIGITS
 
@@ -66,8 +67,8 @@ def _parse_z(text: str, prec: int):
             raise ParseError(f"could not read z from {text!r}: an exponent may be at "
                              f"most {MAX_EXPONENT}")
         raise ParseError(f"could not read z from {text!r}")
-    with mpmath.workdps(prec + GUARD_DIGITS):
-        return mpmath.mpc(*map(mpmath.mpf, parts))
+    bits = dps_to_prec(prec + GUARD_DIGITS)
+    return mpmath.mp.make_mpc(tuple(from_str(part, bits, round_nearest) for part in parts))
 
 
 def _parse_fraction(text: str) -> Fraction:

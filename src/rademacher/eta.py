@@ -48,7 +48,7 @@ requested precision in decimal digits.  The evaluation has three stages.
 That is O(sqrt(P / Im z)) multiplications and one Log, where the product
 formula needs O(P / Im z) Logs; the product survives as a test oracle.
 z must be an int, float, complex, mpf or mpc with finite parts and
-Im z > 0 (NotUpperHalfPlaneError, checked before any float conversion).
+Im z > 0 (NotUpperHalfPlaneError, checked on its raw parts).
 Points with Im z below Y_MIN are refused before any series as too costly:
 the summands grow like sqrt(P / Im z) and the cancellation guard like
 1 / Im z digits.
@@ -59,9 +59,11 @@ sides of a law are about as large as p |z| and p |g z| (p = 1 for the
 classical law), so the checks carry ceil(log10 of the largest) more
 digits when that is positive (the magnitude guard), and the residual stays
 an absolute 10^-P certificate.  Beyond 10^MAGNITUDE_MAX_DIGITS they refuse
-the point (PointTooLargeError) as too costly.  A side, the automorphy
-term, the rhs and the residual are computed on mpmath.libmp raw tuples,
-each operation rounded once; mpc objects only carry points and values.
+the point (PointTooLargeError) as too costly.
+
+Points stay raw mpmath.libmp pairs from entry to kernel, and every value is
+computed on raw tuples at a precision the call states, each operation rounded
+once: no mpmath context is read or written, and mpc objects only wrap results.
 
 eta_p_branch_ratio measures how the additive branch relates to the
 principal 2k-th root of Delta_p = eta^k(z) eta^k(p z): the ratio is the
@@ -83,13 +85,16 @@ from __future__ import annotations
 import cmath
 import contextlib
 import math
+from fractions import Fraction
 from typing import NamedTuple
 
 import mpmath
-from mpmath.libmp import (dps_to_prec, from_float, from_int, from_man_exp, from_rational, fzero,
-                          mpc_abs, mpc_add, mpc_expjpi, mpc_log, mpc_shift, mpc_sub, mpf_add,
-                          mpf_div, mpf_exp, mpf_frac, mpf_mul, mpf_mul_int, mpf_pi, mpf_pos,
-                          mpf_shift, mpf_sub, round_nearest, to_fixed, to_float)
+from mpmath.libmp import (dps_to_prec, fone, from_float, from_int, from_man_exp, from_rational,
+                          fzero, mpc_abs, mpc_add, mpc_expjpi, mpc_log, mpc_mul_int, mpc_shift,
+                          mpc_sub, mpc_to_complex, mpc_to_str, mpf_add, mpf_ceil, mpf_div, mpf_exp,
+                          mpf_frac, mpf_log, mpf_lt, mpf_mul, mpf_mul_int, mpf_pi, mpf_pos,
+                          mpf_shift, mpf_sub, round_nearest, to_fixed, to_float, to_int,
+                          to_rational, to_str)
 
 from .dedekind import rademacher_phi
 from .errors import DomainError, ImaginaryPartError, NotUpperHalfPlaneError, PointTooLargeError
@@ -131,43 +136,45 @@ def check_precision(prec: int) -> None:
 
 
 def _nstr(x, n: int) -> str:
-    # round first: mpmath cannot print a mantissa of more than 4300 digits,
-    # which a point far from the origin is carried with
-    with mpmath.workdps(n + 5):
-        return mpmath.nstr(+x, n)
+    # a raw mpf or mpc pair as mpmath.nstr prints it, rounded first: mpmath cannot
+    # print a mantissa of more than 4300 digits, which a far point is carried with
+    bits = dps_to_prec(n + 5)
+    if len(x) == 2:
+        return f"({mpc_to_str(tuple(mpf_pos(t, bits, _RND) for t in x), n)})"
+    return to_str(mpf_pos(x, bits, _RND), n)
 
 
 def _check_imaginary_part(y, prec: int) -> None:
     """ImaginaryPartError if the raw Im z = y is below Y_MIN, before any series runs at z."""
     if to_float(y, rnd=_RND) < Y_MIN:
-        with mpmath.workdps(prec + GUARD_DIGITS):
-            y = mpmath.mp.make_mpf(y)
-            # summands until |q|^e < 10^-digits: e ~ 3 n^2 / 2 = digits log 10 / (2 pi y)
-            est = 2 * mpmath.sqrt((prec + GUARD_DIGITS) * mpmath.log(10) / (3 * mpmath.pi * y)) + 1
-            shown = str(int(est)) if est < 1e15 else _nstr(est, 3)
-            raise ImaginaryPartError(
-                f"Im(z) = {_nstr(y, 8)} below threshold {Y_MIN}; the "
-                f"pentagonal series would need about {shown} terms"
-            )
+        digits = prec + GUARD_DIGITS
+        wp = dps_to_prec(digits)
+        # summands until |q|^e < 10^-digits: e ~ 3 n^2 / 2 = digits log 10 / (2 pi y)
+        est = mpf_div(mpf_mul_int(mpf_log(from_int(10), wp, _RND), digits, wp, _RND),
+                      mpf_mul(mpf_mul_int(mpf_pi(wp, _RND), 3, wp, _RND), y, wp, _RND), wp, _RND)
+        est = mpf_add(mpf_shift(mpmath.libmp.mpf_sqrt(est, wp, _RND), 1), fone, wp, _RND)
+        shown = str(to_int(est)) if mpf_lt(est, from_int(10**15)) else _nstr(est, 3)
+        raise ImaginaryPartError(
+            f"Im(z) = {_nstr(y, 8)} below threshold {Y_MIN}; the "
+            f"pentagonal series would need about {shown} terms"
+        )
 
 
 def _checked_point(z, prec: int):
-    """z as an mpc, exactly as given (a point off the real axis is a
-    complex or an mpc); NotUpperHalfPlaneError unless z is a number mpmath
-    reads without parsing text and both parts are finite with Im z > 0
-    (before anything converts z to a float), then _check_imaginary_part."""
+    """The raw parts of z, exactly as given; NotUpperHalfPlaneError unless z
+    is a number mpmath reads without parsing text and both parts are finite
+    with Im z > 0, then _check_imaginary_part."""
     if not isinstance(z, (int, float, complex, mpmath.mpf, mpmath.mpc)):
         raise NotUpperHalfPlaneError(
             f"z must be an int, float, complex, mpf or mpc, not {type(z).__name__}"
         )
-    with mpmath.workdps(prec + GUARD_DIGITS):
-        z = mpmath.mpc(z)
-        if not (mpmath.isfinite(z.real) and mpmath.isfinite(z.imag)) or z.imag <= 0:
-            raise NotUpperHalfPlaneError(
-                f"z = {_nstr(z, 8)} is not a finite point with Im(z) > 0"
-            )
-    _check_imaginary_part(z._mpc_[1], prec)
-    return z
+    re, im = w = tuple(t._mpf_ if isinstance(t, mpmath.mpf) else from_int(t) if isinstance(t, int)
+                       else from_float(t) for t in (z.real, z.imag))
+    # a raw part is finite when it has a mantissa or is zero
+    if not (re[1] or re == fzero) or im[0] or not im[1]:
+        raise NotUpperHalfPlaneError(f"z = {_nstr(w, 8)} is not a finite point with Im(z) > 0")
+    _check_imaginary_part(im, prec)
+    return w
 
 
 def _float_log_product(x: float, y: float) -> complex:
@@ -326,7 +333,7 @@ def _log_eta_p_eval(p: int, z, prec: int, magnitude: int = 0) -> _LogEta:
     n = len(powers)
     digits = prec + GUARD_DIGITS
     point = dps_to_prec(digits + magnitude)
-    re, im = z._mpc_
+    re, im = z
     # q has period 1 in Re z, so a huge Re z costs nothing below
     x = mpf_frac(re, point, _RND)
     passes = []
@@ -396,9 +403,13 @@ def eta_p_branch_ratio(p: int, z, prec: int = DEFAULT_PRECISION):
     root of unity with k = k_of_p(p), and equal to 1 exactly when r = 0.
     """
     k = k_of_p(p)
-    with mpmath.workdps(prec + GUARD_DIGITS):
-        turns = (2 * k * log_eta_p(p, z, prec).imag - mpmath.pi) / (2 * mpmath.pi)
-        return mpmath.expjpi(mpmath.ceil(turns) / k)
+    im = log_eta_p(p, z, prec)._mpc_[1]
+    wp = dps_to_prec(prec + GUARD_DIGITS)
+    pi = mpf_pi(wp, _RND)
+    turns = mpf_div(mpf_sub(mpf_mul_int(im, 2 * k, wp, _RND), pi, wp, _RND), mpf_shift(pi, 1),
+                    wp, _RND)
+    r = to_int(mpf_ceil(turns))
+    return mpmath.mp.make_mpc(mpc_expjpi((from_rational(r, k, wp, _RND), fzero), wp, _RND))
 
 
 class VerificationReport(NamedTuple):
@@ -426,23 +437,24 @@ class VerificationReport(NamedTuple):
         return max(self.lhs_terms, self.rhs_terms)
 
     def passed(self, tolerance) -> bool:
-        # text must match the CLI's number grammar, as mpmath reads more
+        # text must match the CLI's number grammar (mpmath reads more); all compare exactly
         if isinstance(tolerance, str):
             check_tolerance(tolerance)
-        return self.residual < mpmath.mpf(tolerance)
+            return Fraction(*to_rational(self.residual._mpf_)) < Fraction(tolerance)
+        return self.residual < tolerance
 
     def to_dict(self, tolerance=None) -> dict:
         digits = self.precision
         out = {
-            "lhs": _format_complex(self.lhs, digits),
-            "rhs": _format_complex(self.rhs, digits),
-            "residual": _nstr(self.residual, 8),
+            "lhs": ",".join(_nstr(t, digits) for t in self.lhs._mpc_),
+            "rhs": ",".join(_nstr(t, digits) for t in self.rhs._mpc_),
+            "residual": _nstr(self.residual._mpf_, 8),
             "truncation_terms": self.truncation_terms,
             "lhs_terms": self.lhs_terms,
             "rhs_terms": self.rhs_terms,
             "series": "pentagonal",
             "precision": self.precision,
-            "tail_bound": _nstr(self.tail_bound, 8),
+            "tail_bound": _nstr(self.tail_bound._mpf_, 8),
             "working_digits": self.working_digits,
         }
         if tolerance is not None:
@@ -451,17 +463,13 @@ class VerificationReport(NamedTuple):
         return out
 
 
-def _format_complex(v, digits: int) -> str:
-    return f"{_nstr(v.real, digits)},{_nstr(v.imag, digits)}"
-
-
 def _guarded_points(z, a, b, c, d, prec: int, p: int):
-    """(z, g z, guard, (u, v, s)) for g = (a, b; c, d): z and g z as mpc,
-    checked for the series, and c z + d = (u + i v) / 2^s.  z is the dyadic
-    (X + i Y) / 2^s, exact unless a part has bits below 2^-cap, cap =
-    dps_to_prec(prec + GUARD_DIGITS + MAGNITUDE_MAX_DIGITS): those are
-    dropped, a move far below what any side carries.  With u = c X + d 2^s
-    and v = c Y, g z is formed once,
+    """(z, g z, guard, (u, v, s)) for g = (a, b; c, d): z and g z as raw
+    pairs, checked for the series, and c z + d = (u + i v) / 2^s.  z is
+    the dyadic (X + i Y) / 2^s, exact unless a part has bits below 2^-cap,
+    cap = dps_to_prec(prec + GUARD_DIGITS + MAGNITUDE_MAX_DIGITS): those
+    are dropped, a move far below what any side carries.  With u = c X +
+    d 2^s and v = c Y, g z is formed once,
 
         Re g z = ((a X + b 2^s) u + a Y v) / (u^2 + v^2),
         Im g z = det Y 2^s / (u^2 + v^2),
@@ -471,32 +479,36 @@ def _guarded_points(z, a, b, c, d, prec: int, p: int):
     log eta(p z) and log eta(p g z); p = 1 for the classical law).  So the
     residual is an absolute 10^-P certificate only if guard =
     max(0, ceil(log10(p max(|z|, |g z|)))) more digits are carried (the
-    magnitude guard), sized from those quotients in doubles.  z is checked
-    first, then the magnitude, then Im(g z): all before any series runs.
-    Im(p z) = p Im z needs no check.
+    magnitude guard), sized from those quotients in doubles, or at 64 bits
+    where a double overflows.  z is checked first, then the magnitude, then
+    Im(g z), all before any series runs; Im(p z) = p Im z needs no check.
     """
     digits = prec + GUARD_DIGITS
     w = _checked_point(z, prec)
-    parts = [part for part in w._mpc_ if part[1]]
+    parts = [part for part in w if part[1]]
     top, e = math.inf, max(part[2] + part[3] for part in parts)
     # |z| >= 2^(e - 1): beyond this bound z is too long to read exactly,
     # and the guard is above its bound even at 53 bits
     if e - 1 <= (MAGNITUDE_MAX_DIGITS + 1 - math.log10(p)) / math.log10(2):
         s = min(dps_to_prec(digits + MAGNITUDE_MAX_DIGITS), max(0, -min(part[2] for part in parts)))
-        x, y = (to_fixed(part, s) for part in w._mpc_)
+        x, y = (to_fixed(part, s) for part in w)
         num, u, v = a * x + (b << s), c * x + (d << s), c * y
         den = u * u + v * v
         gz = (num * u + a * y * v, (a * d - b * c) * y << s)
         with contextlib.suppress(OverflowError):
             # int / int rounds the quotient once
-            top = p * max(abs(complex(w)), abs(complex(gz[0] / den, gz[1] / den)))
+            top = p * max(abs(mpc_to_complex(w, rnd=_RND)), abs(complex(gz[0] / den, gz[1] / den)))
     if top < math.inf:
         guard = math.ceil(math.log10(max(top, 1)))
     else:
-        # beyond the double range, sizes at mpmath's precision
-        guard = int(mpmath.ceil(mpmath.log10(p * max(abs(w), abs(a * w + b) / abs(c * w + d)))))
+        # |z|, |a z + b| and |c z + d| at 64 bits; sizes[mpf_lt(*sizes)] is the larger
+        size = [mpc_abs(mpc_add(mpc_mul_int(w, s, 64, _RND), (from_int(t), fzero), 64, _RND), 64,
+                        _RND) for s, t in ((1, 0), (a, b), (c, d))]
+        sizes = (size[0], mpf_div(size[1], size[2], 64, _RND))
+        top = mpf_log(mpf_mul_int(sizes[mpf_lt(*sizes)], p, 64, _RND), 64, _RND)
+        guard = to_int(mpf_ceil(mpf_div(top, mpf_log(from_int(10), 64, _RND), 64, _RND)))
     if guard > MAGNITUDE_MAX_DIGITS:
-        shown = guard if guard < 1e15 else _nstr(mpmath.mpf(guard), 3)
+        shown = guard if guard < 1e15 else _nstr(from_int(guard), 3)
         raise PointTooLargeError(
             f"the sides of the law are about 10^{shown}, beyond "
             f"10^{MAGNITUDE_MAX_DIGITS}; the check would carry that many extra digits"
@@ -504,8 +516,7 @@ def _guarded_points(z, a, b, c, d, prec: int, p: int):
     wp = dps_to_prec(digits + guard)
     gz = tuple(from_rational(t, den, wp, _RND) for t in gz)
     _check_imaginary_part(gz[1], prec)
-    z = (from_man_exp(x, -s), from_man_exp(y, -s))
-    return mpmath.mp.make_mpc(z), mpmath.mp.make_mpc(gz), guard, (u, v, s)
+    return (from_man_exp(x, -s), from_man_exp(y, -s)), gz, guard, (u, v, s)
 
 
 def _verify(p: int, m, det: int, phi, z, prec: int) -> VerificationReport:

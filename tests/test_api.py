@@ -174,3 +174,41 @@ def test_no_unused_import_in_the_library():
         exempt = set(rademacher.__all__) if path.name == "__init__.py" else set()
         found += [f"{path.name}:{name}" for name in sorted(imported - read - exempt)]
     assert len(list(package.rglob("*.py"))) > 5 and found == []
+
+
+def test_library_reaches_no_mpmath_context():
+    # a result depends only on its arguments: the library runs on
+    # mpmath.libmp raw tuples at precisions it states, so it names no
+    # precision manager, and of mpmath's object layer only the two types
+    # (in isinstance checks) and the wrappers mp.make_mpc and mp.make_mpf
+    package = Path(rademacher.__file__).parent
+    allowed = {"mpmath.mp.make_mpc", "mpmath.mp.make_mpf"}
+    found = []
+
+    def dotted(node):
+        if isinstance(node, ast.Attribute):
+            return f"{dotted(node.value)}.{node.attr}"
+        return node.id if isinstance(node, ast.Name) else ""
+
+    for path in sorted(package.rglob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text(), str(path))))
+        # a chain is checked whole: mpmath.mp inside mpmath.mp.make_mpc is not a use
+        inner = {id(node.value) for node in nodes if isinstance(node, ast.Attribute)}
+        typed = {id(t) for node in nodes
+                 if isinstance(node, ast.Call) and dotted(node.func) == "isinstance"
+                 for t in ast.walk(node.args[1])}
+        for node in nodes:
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("mpmath"):
+                if node.module != "mpmath.libmp":
+                    found.append(f"{path.name}:{node.lineno} from {node.module}")
+            if {getattr(node, "id", None), getattr(node, "attr", None)} & {
+                    "workdps", "workprec", "extradps", "extraprec"}:
+                found.append(f"{path.name}:{node.lineno} precision manager")
+            name = dotted(node) if isinstance(node, ast.Attribute) else ""
+            if not name.startswith("mpmath.") or id(node) in inner:
+                continue
+            if name.startswith("mpmath.libmp.") or name in allowed:
+                continue
+            if not (name in ("mpmath.mpf", "mpmath.mpc") and id(node) in typed):
+                found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []

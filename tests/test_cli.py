@@ -7,6 +7,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rademacher
 from rademacher import cli
@@ -14,7 +16,7 @@ from rademacher.cli import run
 from rademacher.dedekind import rademacher_phi
 from rademacher.fricke import phi_p
 from rademacher.inertia import km_phi
-from rademacher.matrices import FrickeElement, parse_matrix
+from rademacher.matrices import _RATIONAL, MAX_EXPONENT, FrickeElement, _is_number, parse_matrix
 from rademacher.render import render_svg
 from rademacher.words import decompose, endpoints
 
@@ -260,6 +262,23 @@ def test_bad_z_one_json_error_exit_1(capsys, z, code):
         lines = capsys.readouterr().out.splitlines()
         assert status == 1 and len(lines) == 1
         assert json.loads(lines[0])["error"]["code"] == code
+
+
+@settings(max_examples=100, deadline=None)
+@given(parts=st.lists(st.from_regex(_RATIONAL, fullmatch=True).filter(
+           lambda text: _is_number(text, MAX_EXPONENT)) | st.sampled_from(("nan", "inf", "-inf")),
+       min_size=2, max_size=2),
+       prec=st.sampled_from((30, 50, 100)))
+def test_z_parts_read_as_mpmath_reads_them(parts, prec):
+    # each part is rounded once at P + 10 digits, to the bits mpmath.mpf
+    # gives it at that precision; the oracle sets the precision, the CLI not
+    import mpmath
+
+    from rademacher.eta import GUARD_DIGITS
+
+    with mpmath.workdps(prec + GUARD_DIGITS):
+        expected = tuple(mpmath.mpf(part)._mpf_ for part in parts)
+    assert cli._parse_z(",".join(parts), prec)._mpc_ == expected
 
 
 def test_internal_error_not_reported_as_domain(capsys, monkeypatch):

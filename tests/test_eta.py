@@ -1,9 +1,12 @@
 import ast
 import inspect
+import json
 import math
 import random
 import re
+import sys
 import textwrap
+import threading
 import time
 from fractions import Fraction
 
@@ -114,7 +117,7 @@ def test_huge_imaginary_part():
     # |q| = exp(-2 pi 1e400) leaves S = 1: log eta is pi i z / 12 exactly
     with mp(50):
         z = mpmath.mpc("0.1", "1e400")
-        result = eta._log_eta_p_eval(1, z, 50)
+        result = eta._log_eta_p_eval(1, z._mpc_, 50)
         assert result.terms == 1 and result.tail_bound < mpmath.mpf(10) ** -1000
         assert result.value == mpmath.pi * 1j * z / 12
 
@@ -169,12 +172,12 @@ def _assert_g_z_rounded_once(m, p, z, prec):
             eta._guarded_points(z, a, b, c, d, prec, p)
         return
     point, gz, guard, _ = eta._guarded_points(z, a, b, c, d, prec, p)
-    assert point._mpc_ == z._mpc_, (m, z)
+    assert point == z._mpc_, (m, z)
     top = p * max(abs(complex(z)), abs(complex(*map(float, exact))))
     assert guard == math.ceil(math.log10(max(top, 1))), (m, z)
     wp = mpmath.libmp.dps_to_prec(prec + GUARD_DIGITS + guard)
-    assert gz._mpc_ == tuple(mpmath.libmp.from_rational(t.numerator, t.denominator, wp, "n")
-                             for t in exact), (m, z)
+    assert gz == tuple(mpmath.libmp.from_rational(t.numerator, t.denominator, wp, "n")
+                       for t in exact), (m, z)
 
 
 def _random_g_z_cases(count, prec):
@@ -322,8 +325,8 @@ def test_truncation_soundness():
     prec = 40
     with mp(2 * prec + 10):
         z = mpmath.mpc("0.41", "0.09")
-        coarse = eta._log_eta_p_eval(1, z, prec)
-        fine = eta._log_eta_p_eval(1, z, 2 * prec + 10)
+        coarse = eta._log_eta_p_eval(1, z._mpc_, prec)
+        fine = eta._log_eta_p_eval(1, z._mpc_, 2 * prec + 10)
         # pentagonal summands grow like sqrt(digits): 50 -> 100 digits is sqrt 2
         assert abs(fine.terms / coarse.terms - math.sqrt(2)) < 0.15
         assert (abs(coarse.value - fine.value)
@@ -337,7 +340,7 @@ def test_near_cusp_matches_product_oracle(y, prec):
     # and the cancellation guard must restore them
     with mp(prec):
         z = mpmath.mpc(0, y)
-    result = eta._log_eta_p_eval(1, z, prec)
+    result = eta._log_eta_p_eval(1, z._mpc_, prec)
     assert result.working_digits > prec + GUARD_DIGITS + 60
     ref = log_eta_product(z, prec)
     with mp(2 * prec):
@@ -396,9 +399,10 @@ def test_level_p_product_matches_two_series():
         cases += [(p, mpmath.mpc(x, eta.Y_MIN)) for x in ("0", "0.3", "-0.77")
                   for p in (3, 13, 1_000_003, 2**61 - 1)]
     for p, z in cases:
-        got = eta._log_eta_p_eval(p, z, prec)
+        got = eta._log_eta_p_eval(p, z._mpc_, prec)
         with mp(prec):
-            one, other = eta._log_eta_p_eval(1, z, prec), eta._log_eta_p_eval(1, p * z, prec)
+            one = eta._log_eta_p_eval(1, z._mpc_, prec)
+            other = eta._log_eta_p_eval(1, (p * z)._mpc_, prec)
         assert got.terms == max(one.terms, other.terms), (p, z)
         assert got.working_digits == max(one.working_digits, other.working_digits), (p, z)
         with mp(2 * prec):
@@ -721,3 +725,114 @@ def test_report_dict_shape():
     bare = report.to_dict()
     assert "pass" not in bare and "tolerance" not in bare
     assert isinstance(report, VerificationReport)
+
+
+def test_no_global_precision_write(monkeypatch, capsys):
+    # every eta entry point, the report methods, both verify commands and
+    # every refusal run at precisions they state: none sets mp.prec or mp.dps
+    from rademacher.cli import run
+
+    with mp(50):
+        z = mpmath.mpc("0.2", "0.9")
+        refused = [mpmath.mpc("0.3", "-1"), mpmath.mpc("0.3", "1e-5"), mpmath.mpc("0.1", "1e5000"),
+                   mpmath.mpc("0.1", mpmath.mpf("1e" + "9" * 400))]
+    writes = []
+    context = type(mpmath.mp)
+    for name in ("prec", "dps"):
+        real = getattr(context, name)
+        monkeypatch.setattr(context, name, property(
+            real.fget, lambda ctx, value, _real=real, _name=name:
+            writes.append(_name) or _real.fset(ctx, value)))
+    e = FrickeElement.gamma0(5, UnimodularMatrix(1, 0, 5, 1))
+    log_eta(z), log_eta_p(5, z), eta_p_branch_ratio(5, z)
+    for report in (verify_eta_transform(S, z), verify_theorem1(e, z)):
+        report.passed("1e-40"), report.passed(1e-40), report.to_dict(tolerance="1/3")
+    for argv in (["verify-eta", "--matrix", "3,1,8,3", "--z", "0.333,0.5"],
+                 ["verify-theorem1", "--fricke", "5:0,-1,1,0", "--z", "0.2,0.8"]):
+        assert run(argv) == 0
+    # off the half plane, too near the axis, too large (log_eta has no
+    # magnitude guard) and too large to size in doubles
+    for i, point in enumerate(refused):
+        for call in (lambda: log_eta(point), lambda: verify_eta_transform(S, point),
+                     lambda: verify_theorem1(e, point))[i // 2:]:
+            with pytest.raises((NotUpperHalfPlaneError, ImaginaryPartError, PointTooLargeError)):
+                call()
+    real_pass = eta._float_log_product
+    monkeypatch.setattr(eta, "_float_log_product", lambda x, y: real_pass(x, y) + 1j * math.pi)
+    with pytest.raises(ArithmeticError, match="ambiguous"):
+        log_eta(z)
+    capsys.readouterr()
+    assert writes == []
+
+
+def _reports_at(dps, cases):
+    # every report of cases as text, made under mp.dps = dps
+    old = mpmath.mp.dps
+    try:
+        mpmath.mp.dps = dps
+        return [call() for call in cases]
+    finally:
+        mpmath.mp.dps = old
+
+
+def test_no_global_precision_read(capsys):
+    # the reports depend on (g, z, P) alone: mp.dps = 15 and 1000 give the
+    # same bytes on the frozen commands, criterion 8's panel and the points
+    # 0.1 + 10^k i, whose magnitude guard the parent sized at mp.prec
+    from test_acceptance import PANEL_CLASSICAL, PANEL_THEOREM1, _panel_z
+    from test_cli import FROZEN_VERIFY
+
+    from rademacher.cli import run
+
+    def command(argv):
+        status = run(argv)
+        return status, capsys.readouterr().out
+
+    def report(verify, g, z, prec):
+        return json.dumps(verify(g, z, prec=prec).to_dict(tolerance="1e-85"))
+
+    cases = [lambda argv=f"{plain}{line[0]}".split(): command(argv)
+             for line in FROZEN_VERIFY for plain in ("", "--plain ")]
+    for entries, theta in PANEL_CLASSICAL:
+        g = UnimodularMatrix(*entries)
+        z = _panel_z(g.c, g.d, theta, 100)
+        cases.append(lambda g=g, z=z: report(verify_eta_transform, g, z, 100))
+    for p, kind, q, theta in PANEL_THEOREM1:
+        e = (FrickeElement.gamma0(p, UnimodularMatrix(*q)) if kind == "g"
+             else FrickeElement.coset(p, *q))
+        z = _panel_z(q[2], q[3], theta, 100, scale=1 if kind == "g" else p)
+        cases.append(lambda e=e, z=z: report(verify_theorem1, e, z, 100))
+    for k in range(401, 416, 2):
+        with mp(50):
+            z = mpmath.mpc("0.1", f"1e{k}")
+        cases.append(lambda z=z: report(verify_eta_transform, T, z, 50))
+        cases.append(lambda z=z: report(verify_theorem1, FrickeElement.gamma0(5, T), z, 50))
+    assert len(cases) == 8 + 20 + 16
+    assert _reports_at(15, cases) == _reports_at(1000, cases)
+
+
+def test_threads_share_no_precision():
+    # concurrent checks at different P neither see nor leave one another's
+    # precision: one report per input, and mp.dps untouched
+    with mp(50):
+        z = mpmath.mpc("0.2", "0.9")
+    precs = (30, 50, 80, 120)
+    reports = {prec: set() for prec in precs}
+
+    def work():
+        for i in range(40):
+            prec = precs[i % len(precs)]
+            reports[prec].add(json.dumps(verify_eta_transform(S, z, prec=prec).to_dict()))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert {prec: len(texts) for prec, texts in reports.items()} == dict.fromkeys(precs, 1)
+    assert mpmath.mp.dps == 15
