@@ -22,62 +22,42 @@ eta(z) eta(p z): with S_m the sum at q^m and n powers, the value is the
 mean (pi i (sum m) z / 12 + Log prod S_m + 2 pi i k) / n.  P is the
 requested precision in decimal digits.  The evaluation has three stages.
 
-1. For each power a complex128 pass sums A_m = sum_{n>=1} Log(1 - q^(m n))
-   term by term until |q^(m n)| < 2^-30 and closes the rest as
-   -q^(m (n+1)) / (1 - q^m), within 2^-60 / (1 - |q^m|^2) since
-   |Log(1 - u) + u| <= |u|^2 / (1 - |u|).  By Euler's identity
-   prod (1 - q^n) = S, so A = sum A_m is a logarithm of prod S_m.
-   Im A fixes k = round((Im A - Im Log prod S_m) / 2 pi); a fractional
-   part beyond 1/4 raises ArithmeticError.  Re A_m is log|S_m|: near a
-   cusp the alternating sum cancels (|eta(0.001 i)| ~ 6e-113), so the
-   working precision of the side is raised by max_m ceil(-log10 |S_m|)
-   digits on top of the GUARD_DIGITS carried everywhere.
-2. Each sum runs over n = 0, +-1, +-2, ... in complex fixed point, the sign
-   (-1)^n riding in the step between terms: q^m and its powers are pairs of
-   Python ints over 2^F, F, one per side, the working precision in bits
-   plus 3 bits per bit of twice the largest predicted summand count.  S_N
-   is within N^3/2 * 2^-F < 2^-prec of the exact partial sum, below the
-   10^-working that carries every cancellation guard (proofs at
-   _log_eta_p_eval and _pentagonal_sum).  The sum stops once its proved
-   tail moves the logarithm by less than 10^-(P+10), a test run in log
-   space on the top 60 bits of S_n: |q|^e leaves the double range long
-   before it reaches 10^-(P+10) near a cusp.
+1. For each power a complex128 pass (_float_log_product) sums A_m = sum
+   Log(1 - q^(m n)), a logarithm of S_m by Euler's identity, so that
+   k = round((Im sum A_m - Im Log prod S_m) / 2 pi); a fractional part
+   beyond 1/4 raises ArithmeticError.  Re A_m is log|S_m|: near a cusp the
+   sum cancels (|eta(0.001 i)| ~ 6e-113), so the working precision of the
+   side is raised by max_m ceil(-log10 |S_m|) digits on top of GUARD_DIGITS.
+2. Each sum runs over n = 0, +-1, +-2, ... in one complex fixed point
+   (_pentagonal_sum), within 2^-prec of the exact partial sum, and stops
+   once its proved tail moves the logarithm by less than 10^-(P+10).
 3. The sums are multiplied exactly as integers, and one Log of the
-   product follows.
+   product follows.  The terms pi i (sum m) z / 12 n, 2 pi i k / n and any
+   pi i phi / 12 are one exact rational times pi per part, rounded once.
 
 That is O(sqrt(P / Im z)) multiplications and one Log, where the product
-formula needs O(P / Im z) Logs; the product survives as a test oracle.
-z must be an int, float, complex, mpf or mpc with finite parts and
-Im z > 0 (NotUpperHalfPlaneError, checked on its raw parts).
-Points with Im z below Y_MIN are refused before any series as too costly:
-the summands grow like sqrt(P / Im z) and the cancellation guard like
-1 / Im z digits.
+formula, now a test oracle, needs O(P / Im z) Logs.  z must be a number with
+finite parts and Im z > 0 (NotUpperHalfPlaneError); Im z below Y_MIN is
+refused before any series, as summands grow like sqrt(P / Im z).
 
-The verify functions read z as the dyadic rational it is and form g z
-once, from exact integers, each part rounded once (_guarded_points).  The
-sides of a law are about as large as p |z| and p |g z| (p = 1 for the
-classical law), so the checks carry ceil(log10 of the largest) more
-digits when that is positive (the magnitude guard), and the residual stays
-an absolute 10^-P certificate.  Beyond 10^MAGNITUDE_MAX_DIGITS they refuse
-the point (PointTooLargeError) as too costly.
+The verify functions form g z once from the exact dyadic z and carry the
+magnitude guard, so the residual stays an absolute 10^-P certificate
+(_guarded_points); beyond 10^MAGNITUDE_MAX_DIGITS they refuse the point
+(PointTooLargeError) as too costly.
 
 Points stay raw mpmath.libmp pairs from entry to kernel, and every value is
 computed on raw tuples at a precision the call states, each operation rounded
 once: no mpmath context is read or written, and mpc objects only wrap results.
 
-eta_p_branch_ratio measures how the additive branch relates to the
-principal 2k-th root of Delta_p = eta^k(z) eta^k(p z): the ratio is the
-2k-th root of unity exp(pi i r / k), not always 1, with the integer r read
-off 2k Im log eta_p in closed form.
-
 The level-p law is the classical one with log eta_p, Phi_p, and on the
 W_p coset the integer matrix sqrt(p) e of determinant p, so both verify
 functions are one call to _verify, which takes the level as a number:
 p = 1 is the classical law, whose log eta_p is log eta itself.  Its
-automorphy term (1/2) Log w, w = (c z + d) / (i sgn c sqrt det), is taken
-as Log(-(c z + d)^2 / det) / 4, without a root, since Re w > 0.  P that is
-not an int in [MIN_PRECISION, MAX_PRECISION] is refused once per public
-call, before any arithmetic at that precision.
+automorphy term (1/2) Log w, w = (c z + d) / (i sgn c sqrt det), is
+Log(w^2) / 4 with w^2 = -(c z + d)^2 / det, without a root, since Re w > 0,
+and is folded into the one Log of the right side.  P that is not an int in
+[MIN_PRECISION, MAX_PRECISION] is refused once per public call, before any
+arithmetic at that precision.
 """
 
 from __future__ import annotations
@@ -85,16 +65,17 @@ from __future__ import annotations
 import cmath
 import contextlib
 import math
+from decimal import Decimal
 from fractions import Fraction
 from typing import NamedTuple
 
 import mpmath
-from mpmath.libmp import (dps_to_prec, fone, from_float, from_int, from_man_exp, from_rational,
-                          fzero, mpc_abs, mpc_add, mpc_expjpi, mpc_log, mpc_mul_int, mpc_shift,
-                          mpc_sub, mpc_to_complex, mpc_to_str, mpf_add, mpf_ceil, mpf_div, mpf_exp,
-                          mpf_frac, mpf_log, mpf_lt, mpf_mul, mpf_mul_int, mpf_pi, mpf_pos,
-                          mpf_shift, mpf_sub, round_nearest, to_fixed, to_float, to_int,
-                          to_rational, to_str)
+from mpmath.libmp import (dps_to_prec, fone, from_float, from_int, from_man_exp, fzero, mpc_abs,
+                          mpc_add, mpc_expjpi, mpc_log, mpc_mul_int, mpc_sub, mpc_to_complex,
+                          mpc_to_str, mpf_add, mpf_ceil, mpf_div, mpf_exp, mpf_frac, mpf_log,
+                          mpf_lt, mpf_mul, mpf_mul_int, mpf_pi, mpf_pos, mpf_shift, mpf_sub,
+                          pi_fixed, round_nearest, to_fixed, to_float, to_int, to_rational,
+                          to_str)
 
 from .dedekind import rademacher_phi
 from .errors import DomainError, ImaginaryPartError, NotUpperHalfPlaneError, PointTooLargeError
@@ -119,11 +100,8 @@ _LOG2 = math.log(2)
 _RND = round_nearest  # every raw operation, as in mpmath's default context
 
 
-class _LogEta(NamedTuple):
-    value: object
-    terms: int
-    tail_bound: object
-    working_digits: int
+_LogEta = NamedTuple("_LogEta", [("value", object), ("terms", int), ("tail_bound", object),
+                                 ("working_digits", int)])
 
 
 def check_precision(prec: int) -> None:
@@ -300,14 +278,35 @@ def _fixed_power(qr: int, qi: int, p: int, bits: int):
     return rr, ri
 
 
-def _log_eta_p_eval(p: int, z, prec: int, magnitude: int = 0) -> _LogEta:
-    """log eta_p(z) to 10^-prec with its truncation data, p = 1 meaning
-    log eta(z), by the three stages of the module docstring on raw tuples;
-    z comes from _checked_point or _guarded_points, and digits + magnitude
-    digits are carried throughout, digits = prec + GUARD_DIGITS.  With S_m
-    the pentagonal sum of q^m over the n powers m in (1,) or (1, p), the
-    mean of log eta(m z) is (pi i (sum m) z / 12 + Log prod S_m + 2 pi i k)
-    / n, k from the sum of the float passes, a logarithm of prod S_m.
+def _quotient(num: int, den: int, prec: int, exp: int = 0):
+    """num / den * 2^exp, den > 0, rounded once to prec bits as from_rational
+    rounds num / den: the quotient carries prec + 3 bits or more, and a last
+    bit set for a remainder moves it across no rounding boundary."""
+    extra = max(0, prec + 3 + den.bit_length() - abs(num).bit_length())
+    quo, rem = divmod(abs(num) << extra, den)
+    return from_man_exp(-(quo | bool(rem)) if num < 0 else quo | bool(rem), exp - extra, prec, _RND)
+
+
+def _pi_times(a: int, x, b: int, c: int, prec: int):
+    """pi (a x + b) / c for a raw mpf x and ints a, b, c > 0, a x + b exact
+    and pi to prec + 20 bits (pi_fixed, cached), rounded once to prec bits.
+    Only b != 0 shifts by x's exponent, bounded by _guarded_points on a verify
+    side; on a log_eta side b = 96 k / n, 0 where x is an integer or tiny."""
+    sign, man, exp, _ = x
+    num = -a * man if sign else a * man
+    if b:
+        lo = min(exp, 0)
+        num, exp = (num << exp - lo) + (b << -lo), lo
+    return _quotient(pi_fixed(prec + 20) * num, c, prec, exp - prec - 20)
+
+
+def _log_eta_p_eval(p: int, z, prec: int, magnitude: int = 0, phi=0, w=None) -> _LogEta:
+    """log eta_p(z) + pi i phi / 12 to 10^-prec with its truncation data, p = 1
+    meaning log eta(z), on raw tuples; z comes from _checked_point or
+    _guarded_points, and digits + magnitude digits are carried throughout,
+    digits = prec + GUARD_DIGITS.  With S_m the sum at q^m over the n powers
+    m in (1,) or (1, p), log eta_p is (pi i (sum m) z / 12 + Log prod S_m +
+    2 pi i k) / n, k from the sum A of the float passes, a logarithm of it.
 
     The side is sized once: one working precision digits + magnitude +
     max_m cancel_m, one fixed point F, its bits plus 3 max_m n_bits
@@ -324,10 +323,21 @@ def _log_eta_p_eval(p: int, z, prec: int, magnitude: int = 0) -> _LogEta:
     shifted to F is within (4 m - 2) 2^-g + sqrt 2 < 1/2 + sqrt 2 < 2
     units, as its sum needs.
 
-    The product of the S_N is exact in integers over 2^(n F), so Log of it
-    errs by the error of each sum relative to its own size, as a single
+    The product P = prod S_N is exact in integers over 2^(n F), so Log of
+    it errs by the error of each sum relative to its own size, as a single
     series does, plus one rounding to the working precision.  The tails of
     the sums add, and divide by n with the value.
+
+    w = (wr, wi, s, det) folds in Log(w^2) / 4, w^2 = (wr + i wi) / (det 2^s)
+    (_verify): Log is taken of X = P^e w^2, e = 4 / n, exact over det 2^(4 F
+    + s), rounded once and divided by n e = 4, so X's relative error, e times
+    P's, costs what Log P / n did.  e A + Arg(w^2) is a logarithm of X, with
+    Arg(w^2) in (-pi, pi) as Re w > 0, within 2^-50 from the top 60 bits of
+    wr and wi: the fold multiplies the float pass's error by e <= 4, to below
+    4 10^-9 at Y_MIN (at most 3,310 terms, each within a few units of 2^-53
+    of partial sums below 300), far inside the quarter turn.  Each division
+    by n e is a shift, and each pi term one exact rational times pi
+    (_pi_times), as Re z and Im z are dyadic.
     """
     powers = (1,) if p == 1 else (1, p)
     n = len(powers)
@@ -359,25 +369,30 @@ def _log_eta_p_eval(p: int, z, prec: int, magnitude: int = 0) -> _LogEta:
         re_s, im_s = re_s * sr - im_s * si, re_s * si + im_s * sr
         terms = max(terms, count)
         tail = mpf_add(tail, bound, wp, _RND)
-    # (re_s + i im_s) 2^-(n F), rounded once to the working precision
-    log_r, log_i = mpc_log((from_man_exp(re_s, -n * bits, wp, _RND),
-                            from_man_exp(im_s, -n * bits, wp, _RND)), wp, _RND)
-    # the branch of the float passes, whose sum is a logarithm of prod S_m
-    turns = (sum(est.imag for est, _, _ in passes) - to_float(log_i, rnd=_RND)) / (2 * math.pi)
+    e, arg, den, exp = 1, 0.0, 1, n * bits
+    if w is not None:
+        wr, wi, s, den = w
+        e, exp = 4 // n, 4 * bits + s
+        for _ in range(e // 2):
+            re_s, im_s = re_s * re_s - im_s * im_s, 2 * re_s * im_s
+        re_s, im_s = re_s * wr - im_s * wi, re_s * wi + im_s * wr
+        cut = max(0, (abs(wr) | abs(wi)).bit_length() - 60)
+        arg = cmath.phase(complex(wr >> cut, wi >> cut))
+    # P, or X, over den 2^exp, rounded once to the working precision
+    log_r, log_i = mpc_log(tuple(_quotient(t, den, wp, -exp) for t in (re_s, im_s)), wp, _RND)
+    # the branch of the float passes, whose sum is a logarithm of P
+    turns = (e * sum(est.imag for est, _, _ in passes) + arg - to_float(log_i, rnd=_RND)) / math.tau
     k = round(turns)
     if abs(turns - k) > 0.25:
         raise ArithmeticError(f"branch of log eta at z = {_nstr(z, 8)} is ambiguous: "
                               f"{turns:.3f} turns between the float pass and Log S")
-    # the mean, part by part, with c = pi (sum m) / 12 n
-    pi = mpf_pi(wp, _RND)
-    c = mpf_div(mpf_mul_int(pi, sum(powers), wp, _RND), from_int(12 * n), wp, _RND)
-    n_mpf = from_int(n)
-    value = (mpf_sub(mpf_div(log_r, n_mpf, wp, _RND), mpf_mul(c, im, wp, _RND), wp, _RND),
-             mpf_add(mpf_add(mpf_div(log_i, n_mpf, wp, _RND), mpf_mul(c, re, wp, _RND), wp, _RND),
-                     mpf_div(mpf_mul_int(mpf_shift(pi, 1), k, wp, _RND), n_mpf, wp, _RND),
-                     wp, _RND))
+    # (Log + 2 pi i k) / n e + pi i ((sum m) z / 12 n + phi / 12), over 48 phi.denominator
+    shift, a, f = (n * e).bit_length() - 1, sum(powers) * 4 // n, phi.denominator
+    value = (mpf_add(mpf_shift(log_r, -shift), _pi_times(-a, im, 0, 48, wp), wp, _RND),
+             mpf_add(mpf_shift(log_i, -shift), _pi_times(
+                 a * f, re, (96 >> shift) * k * f + 4 * phi.numerator, 48 * f, wp), wp, _RND))
     return _LogEta(mpmath.mp.make_mpc(value), terms,
-                   mpmath.mp.make_mpf(mpf_div(tail, n_mpf, wp, _RND)), working)
+                   mpmath.mp.make_mpf(mpf_shift(tail, 1 - n)), working)
 
 
 def log_eta(z, prec: int = DEFAULT_PRECISION):
@@ -409,7 +424,7 @@ def eta_p_branch_ratio(p: int, z, prec: int = DEFAULT_PRECISION):
     turns = mpf_div(mpf_sub(mpf_mul_int(im, 2 * k, wp, _RND), pi, wp, _RND), mpf_shift(pi, 1),
                     wp, _RND)
     r = to_int(mpf_ceil(turns))
-    return mpmath.mp.make_mpc(mpc_expjpi((from_rational(r, k, wp, _RND), fzero), wp, _RND))
+    return mpmath.mp.make_mpc(mpc_expjpi((_quotient(r, k, wp), fzero), wp, _RND))
 
 
 class VerificationReport(NamedTuple):
@@ -437,10 +452,17 @@ class VerificationReport(NamedTuple):
         return max(self.lhs_terms, self.rhs_terms)
 
     def passed(self, tolerance) -> bool:
-        # text must match the CLI's number grammar (mpmath reads more); all compare exactly
+        """residual < tolerance, exactly: text in the CLI's number grammar, a Fraction
+        or Decimal as the rational it names, an int, float or mpf as mpmath compares
+        it with an mpf; a NaN never passes, and any other type is a DomainError."""
         if isinstance(tolerance, str):
             check_tolerance(tolerance)
-            return Fraction(*to_rational(self.residual._mpf_)) < Fraction(tolerance)
+            tolerance = Fraction(tolerance)
+        if isinstance(tolerance, (Fraction, Decimal)):
+            return not (isinstance(tolerance, Decimal) and tolerance.is_nan()) and Fraction(
+                *to_rational(self.residual._mpf_)) < tolerance
+        if not isinstance(tolerance, (int, float, mpmath.mpf)):
+            raise DomainError(f"tolerance must be a number or text, not {type(tolerance).__name__}")
         return self.residual < tolerance
 
     def to_dict(self, tolerance=None) -> dict:
@@ -458,7 +480,8 @@ class VerificationReport(NamedTuple):
             "working_digits": self.working_digits,
         }
         if tolerance is not None:
-            out["tolerance"] = str(tolerance)
+            out["tolerance"] = (to_str(tolerance._mpf_, 15) if isinstance(tolerance, mpmath.mpf)
+                                else str(tolerance))  # an mpf as str prints it at mp.dps = 15
             out["pass"] = bool(self.passed(tolerance))
         return out
 
@@ -514,7 +537,7 @@ def _guarded_points(z, a, b, c, d, prec: int, p: int):
             f"10^{MAGNITUDE_MAX_DIGITS}; the check would carry that many extra digits"
         )
     wp = dps_to_prec(digits + guard)
-    gz = tuple(from_rational(t, den, wp, _RND) for t in gz)
+    gz = tuple(_quotient(t, den, wp) for t in gz)
     _check_imaginary_part(gz[1], prec)
     return (from_man_exp(x, -s), from_man_exp(y, -s)), gz, guard, (u, v, s)
 
@@ -527,23 +550,15 @@ def _verify(p: int, m, det: int, phi, z, prec: int) -> VerificationReport:
     a, b, c, d = m
     z, gz, guard, (u, v, s) = _guarded_points(z, a, b, c, d, prec, p)
     lhs = _log_eta_p_eval(p, gz, prec, guard)
-    base = _log_eta_p_eval(p, z, prec, guard)
+    # w = (c z + d) / (i sgn c sqrt det) has Re w = |c| Im z / sqrt det > 0, so the
+    # right side folds in (1/2) Log w = Log(w^2) / 4, w^2 = -(u + i v)^2 / (det 4^s)
+    rhs = _log_eta_p_eval(p, z, prec, guard, phi, (v * v - u * u, -2 * u * v, 2 * s, det) if c
+                          else None)
     wp = dps_to_prec(prec + GUARD_DIGITS + guard)
-    phi_term = mpf_div(mpf_mul_int(mpf_pi(wp, _RND), phi.numerator, wp, _RND),
-                       from_int(12 * phi.denominator), wp, _RND)
-    rhs = mpc_add(base.value._mpc_, (fzero, phi_term), wp, _RND)
-    if c != 0:
-        # w = (c z + d) / (i sgn c sqrt det) has Re w = |c| Im z / sqrt det
-        # > 0, so Log w = Log(w^2) / 2, and w^2 = -(c z + d)^2 / det
-        # = -(u + i v)^2 / (det 4^s), rounded once per part
-        scale = det << 2 * s
-        w2 = (from_rational(v * v - u * u, scale, wp, _RND),
-              from_rational(-2 * u * v, scale, wp, _RND))
-        rhs = mpc_add(rhs, mpc_shift(mpc_log(w2, wp, _RND), -2), wp, _RND)
-    residual = mpc_abs(mpc_sub(lhs.value._mpc_, rhs, wp, _RND), wp, _RND)
-    return VerificationReport(lhs.value, mpmath.mp.make_mpc(rhs), mpmath.mp.make_mpf(residual),
-                              lhs.terms, base.terms, prec, max(lhs.tail_bound, base.tail_bound),
-                              max(lhs.working_digits, base.working_digits))
+    residual = mpc_abs(mpc_sub(lhs.value._mpc_, rhs.value._mpc_, wp, _RND), wp, _RND)
+    return VerificationReport(lhs.value, rhs.value, mpmath.mp.make_mpf(residual), lhs.terms,
+                              rhs.terms, prec, max(lhs.tail_bound, rhs.tail_bound),
+                              max(lhs.working_digits, rhs.working_digits))
 
 
 def verify_eta_transform(

@@ -137,11 +137,11 @@ FROZEN_VERIFY = [
       '9,-0.425830612095577697724432327365174873885160006936610217435886", "r'
       'hs": "0.860156288176872925694635988355372430074645065357147689446289,-'
       '0.425830612095577697724432327365174873885160006936610217435886", "resi'
-      'dual": "4.9806235e-71", "truncation_terms": 83, "lhs_terms": 83, "rhs_'
+      'dual": "5.4334074e-71", "truncation_terms": 83, "lhs_terms": 83, "rhs_'
       'terms": 13, "series": "pentagonal", "precision": 60, "tail_bound": "2.'
       '1646958e-74", "working_digits": 70, "tolerance": "1e-40", "pass": true'
       '}\n'),
-     'residual 4.9806235e-71\npass true\n'),
+     'residual 5.4334074e-71\npass true\n'),
     ('verify-theorem1 --p=7 --matrix=1,1,7,8 --z=0.2,0.9 --precision=100',
      0,
      ('{"lhs": "0.27009401725599151391233788483689138585096318024812277540762'
@@ -150,32 +150,32 @@ FROZEN_VERIFY = [
       '6678", "rhs": "0.27009401725599151391233788483689138585096318024812277'
       '54076244075905048622526861371978477729747929641,0.50299635720529465787'
       '2296905577503227101733352105423494837252086905378246221809647630844397'
-      '2840156678", "residual": "2.1519142e-112", "truncation_terms": 125, "l'
+      '2840156678", "residual": "1.8017096e-112", "truncation_terms": 125, "l'
       'hs_terms": 125, "rhs_terms": 11, "series": "pentagonal", "precision": '
       '100, "tail_bound": "1.2675624e-113", "working_digits": 112, "tolerance'
       '": "1e-40", "pass": true}\n'),
-     'residual 2.1519142e-112\npass true\n'),
+     'residual 1.8017096e-112\npass true\n'),
     ('verify-theorem1 --fricke=5:0,-1,1,0 --z=0.2,0.8',
      0,
      ('{"lhs": "-0.32336219361441274698416627780839027063407529478334,0.03145'
       '1293658221246507587170963769043178571755122344", "rhs": "-0.3233621936'
       '1441274698416627780839027063407529478334,0.031451293658221246507587170'
-      '963769043178571755122344", "residual": "1.6150283e-63", "truncation_te'
+      '963769043178571755122344", "residual": "1.5192908e-64", "truncation_te'
       'rms": 17, "lhs_terms": 17, "rhs_terms": 9, "series": "pentagonal", "pr'
       'ecision": 50, "tail_bound": "1.1820813e-71", "working_digits": 62, "to'
       'lerance": "1e-40", "pass": true}\n'),
-     'residual 1.6150283e-63\npass true\n'),
+     'residual 1.5192908e-64\npass true\n'),
     ('verify-eta --matrix=3,1,8,3 --z=0.333,0.5 --precision=60 --tolerance=1e-200',
      1,
      ('{"lhs": "0.86015628817687292569463598835537243007464506535714768944628'
       '9,-0.425830612095577697724432327365174873885160006936610217435886", "r'
       'hs": "0.860156288176872925694635988355372430074645065357147689446289,-'
       '0.425830612095577697724432327365174873885160006936610217435886", "resi'
-      'dual": "4.9806235e-71", "truncation_terms": 83, "lhs_terms": 83, "rhs_'
+      'dual": "5.4334074e-71", "truncation_terms": 83, "lhs_terms": 83, "rhs_'
       'terms": 13, "series": "pentagonal", "precision": 60, "tail_bound": "2.'
       '1646958e-74", "working_digits": 70, "tolerance": "1e-200", "pass": fal'
       'se}\n'),
-     'residual 4.9806235e-71\npass false\n'),
+     'residual 5.4334074e-71\npass false\n'),
 ]
 
 

@@ -114,12 +114,17 @@ def _assert_refused_everywhere(z, match=None):
 
 
 def test_huge_imaginary_part():
-    # |q| = exp(-2 pi 1e400) leaves S = 1: log eta is pi i z / 12 exactly
+    # |q| = exp(-2 pi 1e400) leaves S = 1 and Log S = 0: log eta is pi i z /
+    # 12, each part one product rounded once, so it is the exact value
+    # correctly rounded to the side's working bits
     with mp(50):
         z = mpmath.mpc("0.1", "1e400")
-        result = eta._log_eta_p_eval(1, z._mpc_, 50)
-        assert result.terms == 1 and result.tail_bound < mpmath.mpf(10) ** -1000
-        assert result.value == mpmath.pi * 1j * z / 12
+    result = eta._log_eta_p_eval(1, z._mpc_, 50)
+    assert result.terms == 1 and result.tail_bound < mpmath.mpf(10) ** -1000
+    wp = mpmath.libmp.dps_to_prec(result.working_digits)
+    with mpmath.workprec(wp + 1000):
+        exact = mpmath.pi * 1j * z / 12
+    assert result.value._mpc_ == tuple(mpmath.libmp.mpf_pos(t, wp, "n") for t in exact._mpc_)
 
 
 def test_huge_point_certificate_is_absolute():
@@ -287,6 +292,24 @@ def test_ambiguous_branch_raises(monkeypatch):
     monkeypatch.setattr(eta, "_float_log_product", lambda x, y: real(x, y) + 1j * math.pi)
     with pytest.raises(ArithmeticError):
         log_eta(mpmath.mpc("0.2", "0.7"))
+
+
+@pytest.mark.parametrize("verify, g", [
+    (verify_eta_transform, UnimodularMatrix(3, 1, 8, 3)),
+    (verify_theorem1, FrickeElement.gamma0(5, UnimodularMatrix(1, 0, 5, 1))),
+    (verify_theorem1, fricke_involution(5)),
+])
+def test_ambiguous_folded_branch_raises(monkeypatch, verify, g):
+    # each float pass 0.2 pi off moves an unfolded branch by 0.1 (one power)
+    # or 0.2 turns (two), which still rounds, but the folded one by 4 / n
+    # times that, 0.4 turns, which must not
+    z = mpmath.mpc("0.2", "0.9")
+    real = eta._float_log_product
+    monkeypatch.setattr(eta, "_float_log_product", lambda x, y: real(x, y) + 0.2j * math.pi)
+    p = getattr(g, "p", 1)
+    eta._log_eta_p_eval(p, z._mpc_, 50)
+    with pytest.raises(ArithmeticError, match="ambiguous"):
+        verify(g, z)
 
 
 def test_precision_floor():
@@ -655,10 +678,10 @@ def test_verify_theorem1_examples():
     (log_eta, None),
 ])
 def test_one_q_and_one_log_per_side(monkeypatch, verify, g):
-    # a side of either law forms q once and takes one Log, and a check adds
-    # the Log of -(c z + d)^2 / det as the third: a q or a Log per series
-    # on the level-p side, or a square root in the automorphy term, would
-    # show here.  The eta module calls mpmath.libmp's entry points; the
+    # a side of either law forms q once and takes one Log, the right side's
+    # with the automorphy term -(c z + d)^2 / det folded in: a q or a Log
+    # per series on the level-p side, a Log of its own for the automorphy
+    # term, or a square root in it, would show here.  The eta module calls mpmath.libmp's entry points; the
     # spies on mpmath's object layer show that nothing else forms q, a Log
     # or a root
     calls = []
@@ -673,11 +696,106 @@ def test_one_q_and_one_log_per_side(monkeypatch, verify, g):
     result = verify(*((z,) if g is None else (g, z)), prec=100)
     if isinstance(result, VerificationReport):
         assert result.residual < mpmath.mpf(10) ** -100
-        expected = (2, 3)
+        expected = (2, 2)
     else:
         expected = (1, 1)
     assert (calls.count("mpc_expjpi"), calls.count("mpc_log")) == expected
     assert [name for name in calls if not name.startswith("mpc_")] == []
+
+
+def _folded_cases(prec):
+    # (level, matrix, det, phi, verify, element, z): criterion 8's panel
+    # (c = 0 and cosets of det p among them), near-cusp points whose w^2 lies
+    # near the negative axis, and Im z = 10^401
+    from test_acceptance import PANEL_CLASSICAL, PANEL_THEOREM1, _panel_z
+
+    from rademacher.dedekind import rademacher_phi
+    from rademacher.fricke import phi_p
+
+    def classical(g, z):
+        return 1, g.entries(), 1, rademacher_phi(g), verify_eta_transform, g, z
+
+    def level(e, z):
+        return (e.p, *e.integer_matrix(), phi_p(e), verify_theorem1, e, z)
+
+    cases = []
+    for entries, theta in PANEL_CLASSICAL:
+        g = UnimodularMatrix(*entries)
+        cases.append(classical(g, _panel_z(g.c, g.d, theta, prec)))
+    for p, kind, q, theta in PANEL_THEOREM1:
+        e = (FrickeElement.gamma0(p, UnimodularMatrix(*q)) if kind == "g"
+             else FrickeElement.coset(p, *q))
+        cases.append(level(e, _panel_z(q[2], q[3], theta, prec, scale=1 if kind == "g" else p)))
+    with mp(prec):
+        near, far = mpmath.mpc("1", "0.002"), mpmath.mpc("0.1", "1e401")
+        cases += [classical(S, near), level(fricke_involution(5), mpmath.mpc("0.447", "0.002")),
+                  classical(T, far), level(FrickeElement.gamma0(5, T), far)]
+    return cases
+
+
+def test_folded_right_side_matches_object_layer():
+    # the right side, one Log of (prod S_m)^(4/n) w^2, against log eta_p(z)
+    # + pi i phi / 12 + (1/2) Log w with w = (c z + d) / (i sgn c sqrt det)
+    # through mpmath's object layer at 2P digits on top of the magnitude
+    prec = 100
+    cases = _folded_cases(prec)
+    assert len(cases) == 24
+    assert {det for _, _, det, *_ in cases} == {1, 5, 7, 11}
+    assert sum(m[2] == 0 for _, m, *_ in cases) == 5
+    for p, (a, b, c, d), det, phi, verify, g, z in cases:
+        report = verify(g, z, prec=prec)
+        digits = 2 * prec + max(0, int(mpmath.ceil(mpmath.log10(p * abs(z)))))
+        base = log_eta(z, prec=digits) if p == 1 else log_eta_p(p, z, prec=digits)
+        with mpmath.workdps(digits + GUARD_DIGITS):
+            ref = base + mpmath.pi * 1j * Fraction(phi).numerator / (12 * Fraction(phi).denominator)
+            if c:
+                ref += mpmath.log((c * z + d) / (1j * mpmath.sign(c) * mpmath.sqrt(det))) / 2
+            assert abs(report.rhs - ref) < mpmath.mpf(10) ** -prec, (g, z)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_quotient_rounds_as_from_rational(data):
+    # bit for bit: any quotient, a halfway case m / 2^j with m odd of prec + 1
+    # bits, and a numerator far below its denominator, of either sign
+    prec = data.draw(st.integers(1, 300))
+    kind = data.draw(st.sampled_from(("any", "tie", "small")))
+    if kind == "tie":
+        j = data.draw(st.integers(0, 60))
+        den = data.draw(st.integers(1, 2**200)) << j
+        num = (data.draw(st.integers(2**prec, 2**(prec + 1) - 1)) | 1) * (den >> j)
+    elif kind == "small":
+        num, den = data.draw(st.integers(0, 2**20)), data.draw(st.integers(2**200, 2**400))
+    else:
+        num, den = data.draw(st.integers(0, 2**400)), data.draw(st.integers(1, 2**300))
+    num *= data.draw(st.sampled_from((1, -1)))
+    exp = data.draw(st.integers(-500, 500))
+    expected = mpmath.libmp.from_rational(num, den, prec, "n")
+    assert eta._quotient(num, den, prec) == expected
+    assert eta._quotient(num, den, prec, exp) == mpmath.libmp.mpf_shift(expected, exp)
+
+
+def test_passed_compares_every_number_type_exactly():
+    from decimal import Decimal
+
+    report = verify_eta_transform(UnimodularMatrix(3, 1, 8, 3), mpmath.mpc("0.333", "0.5"),
+                                  prec=60)
+    exact = Fraction(*mpmath.libmp.to_rational(report.residual._mpf_))
+    assert 0 < exact < Fraction(1, 10**60)
+    cases = [(1, True), (0, False), (True, True), (1e-40, True), (1e-80, False),
+             (mpmath.mpf("1e-40"), True), (report.residual, False), ("1e-40", True),
+             ("1e-80", False), ("1/3", True), (Fraction(1, 10**40), True), (exact, False),
+             (exact + Fraction(1, 10**300), True), (Decimal("1e-40"), True),
+             (Decimal("1e-80"), False), (Decimal("Infinity"), True), (Decimal("-Infinity"), False),
+             (Decimal("NaN"), False), (Decimal("sNaN"), False), (float("nan"), False)]
+    for tolerance, expected in cases:
+        assert report.passed(tolerance) is expected, tolerance
+        assert report.to_dict(tolerance=tolerance)["pass"] is expected, tolerance
+    assert report.to_dict(tolerance=Fraction(1, 8))["tolerance"] == "1/8"
+    for tolerance in (None, 1j, mpmath.mpc(1), [1], b"1e-40", object()):
+        with pytest.raises(DomainError, match="tolerance must be a number or text") as info:
+            report.passed(tolerance)
+        assert info.value.code == "domain"
 
 
 def test_precision_scaling_no_plateau():
@@ -807,7 +925,12 @@ def test_no_global_precision_read(capsys):
             z = mpmath.mpc("0.1", f"1e{k}")
         cases.append(lambda z=z: report(verify_eta_transform, T, z, 50))
         cases.append(lambda z=z: report(verify_theorem1, FrickeElement.gamma0(5, T), z, 50))
-    assert len(cases) == 8 + 20 + 16
+    # an mpf tolerance prints from its own bits, as str does at mp.dps = 15
+    fixed = verify_eta_transform(T, mpmath.mpc("0.2", "0.9"), prec=50)
+    tolerance = mpmath.mpf("1e-40")
+    cases.append(lambda: json.dumps(fixed.to_dict(tolerance=tolerance)))
+    assert len(cases) == 8 + 20 + 16 + 1
+    assert json.loads(cases[-1]())["tolerance"] == "1.0e-40"
     assert _reports_at(15, cases) == _reports_at(1000, cases)
 
 
