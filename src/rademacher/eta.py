@@ -36,28 +36,24 @@ requested precision in decimal digits.  The evaluation has three stages.
    pi i phi / 12 are one exact rational times pi per part, rounded once.
 
 That is O(sqrt(P / Im z)) multiplications and one Log, where the product
-formula, now a test oracle, needs O(P / Im z) Logs.  z must be a number with
-finite parts and Im z > 0 (NotUpperHalfPlaneError); Im z below Y_MIN is
-refused before any series, as summands grow like sqrt(P / Im z).
-
-The verify functions form g z once from the exact dyadic z and carry the
-magnitude guard, so the residual stays an absolute 10^-P certificate
-(_guarded_points); beyond 10^MAGNITUDE_MAX_DIGITS they refuse the point
-(PointTooLargeError) as too costly.
-
-Points stay raw mpmath.libmp pairs from entry to kernel, and every value is
+formula, now a test oracle, needs O(P / Im z) Logs; q and the float passes
+read Im z capped at _Y_FLOAT_CAP, so a huge Im z costs nothing.  z must be a
+number with finite parts and Im z > 0 (NotUpperHalfPlaneError); Im z below
+Y_MIN is refused before any series, as summands grow like sqrt(P / Im z).
+log_eta and log_eta_p hold P + GUARD_DIGITS significant digits; the verify
+functions carry the magnitude guard, so the residual is an absolute 10^-P
+certificate, and refuse a point beyond 10^MAGNITUDE_MAX_DIGITS as too costly
+(PointTooLargeError).  Points stay raw mpmath.libmp pairs, and every value is
 computed on raw tuples at a precision the call states, each operation rounded
 once: no mpmath context is read or written, and mpc objects only wrap results.
 
-The level-p law is the classical one with log eta_p, Phi_p, and on the
-W_p coset the integer matrix sqrt(p) e of determinant p, so both verify
-functions are one call to _verify, which takes the level as a number:
-p = 1 is the classical law, whose log eta_p is log eta itself.  Its
-automorphy term (1/2) Log w, w = (c z + d) / (i sgn c sqrt det), is
-Log(w^2) / 4 with w^2 = -(c z + d)^2 / det, without a root, since Re w > 0,
-and is folded into the one Log of the right side.  P that is not an int in
-[MIN_PRECISION, MAX_PRECISION] is refused once per public call, before any
-arithmetic at that precision.
+The level-p law is the classical one with log eta_p, Phi_p, and on the W_p
+coset the integer matrix sqrt(p) e of determinant p, so both verify functions
+are one call to _verify with the level (p = 1 for the classical law) and the
+matrix.  Its automorphy term (1/2) Log w, w = (c z + d) / (i sgn c sqrt det),
+is Log(w^2) / 4, folded into the one Log of the right side.  P that is not an
+int in [MIN_PRECISION, MAX_PRECISION] is refused once per public call, before
+any arithmetic at that precision.
 """
 
 from __future__ import annotations
@@ -93,8 +89,8 @@ Y_MIN = 1e-3
 MAGNITUDE_MAX_DIGITS = 4000
 # the complex128 pass sums Log(1 - q^n) term by term until |q^n| < 2^-30
 _FLOAT_CUTOFF_LOG = 30 * math.log(2)
-# beyond this Im z, exp(-2 pi Im z) is 0.0 in doubles; capping there only
-# loosens the tail bound, which grows with |q|
+# beyond this Im z, exp(-2 pi Im z) is 0.0 in doubles and q truncates to the
+# fixed point as at any larger Im z; capping there only loosens the tail bound
 _Y_FLOAT_CAP = 1e6
 _LOG2 = math.log(2)
 _RND = round_nearest  # every raw operation, as in mpmath's default context
@@ -123,14 +119,13 @@ def _nstr(x, n: int) -> str:
 
 
 def _check_imaginary_part(y, prec: int) -> None:
-    """ImaginaryPartError if the raw Im z = y is below Y_MIN, before any series runs at z."""
+    """ImaginaryPartError if the raw Im z = y is below Y_MIN, its summand estimate at 64 bits."""
     if to_float(y, rnd=_RND) < Y_MIN:
         digits = prec + GUARD_DIGITS
-        wp = dps_to_prec(digits)
         # summands until |q|^e < 10^-digits: e ~ 3 n^2 / 2 = digits log 10 / (2 pi y)
-        est = mpf_div(mpf_mul_int(mpf_log(from_int(10), wp, _RND), digits, wp, _RND),
-                      mpf_mul(mpf_mul_int(mpf_pi(wp, _RND), 3, wp, _RND), y, wp, _RND), wp, _RND)
-        est = mpf_add(mpf_shift(mpmath.libmp.mpf_sqrt(est, wp, _RND), 1), fone, wp, _RND)
+        est = mpf_div(mpf_mul_int(mpf_log(from_int(10), 64, _RND), digits, 64, _RND),
+                      mpf_mul(mpf_mul_int(mpf_pi(64, _RND), 3, 64, _RND), y, 64, _RND), 64, _RND)
+        est = mpf_add(mpf_shift(mpmath.libmp.mpf_sqrt(est, 64, _RND), 1), fone, 64, _RND)
         shown = str(to_int(est)) if mpf_lt(est, from_int(10**15)) else _nstr(est, 3)
         raise ImaginaryPartError(
             f"Im(z) = {_nstr(y, 8)} below threshold {Y_MIN}; the "
@@ -301,12 +296,17 @@ def _pi_times(a: int, x, b: int, c: int, prec: int):
 
 
 def _log_eta_p_eval(p: int, z, prec: int, magnitude: int = 0, phi=0, w=None) -> _LogEta:
-    """log eta_p(z) + pi i phi / 12 to 10^-prec with its truncation data, p = 1
-    meaning log eta(z), on raw tuples; z comes from _checked_point or
-    _guarded_points, and digits + magnitude digits are carried throughout,
-    digits = prec + GUARD_DIGITS.  With S_m the sum at q^m over the n powers
-    m in (1,) or (1, p), log eta_p is (pi i (sum m) z / 12 + Log prod S_m +
-    2 pi i k) / n, k from the sum A of the float passes, a logarithm of it.
+    """log eta_p(z) + pi i phi / 12 with its truncation data, p = 1 meaning
+    log eta(z), on raw tuples; z comes from _checked_point or _guarded_points.
+    digits + magnitude digits are carried, digits = prec + GUARD_DIGITS: the
+    value holds digits significant digits, an absolute 10^-prec only where
+    magnitude counts the digits of p |z| (_guarded_points).  With S_m the sum
+    at q^m over the n powers m in (1,) or (1, p), log eta_p is (pi i (sum m) z
+    / 12 + Log prod S_m + 2 pi i k) / n, k from the sum A of the float passes,
+    a logarithm of it.  q and the float passes read one y, Im z capped at
+    _Y_FLOAT_CAP, the pi terms the exact Im z: at the cap |q| < 2^-(9 10^6),
+    far below 2^-(F + g) < 2^-(10^5), so each part of q truncates to the same
+    integer, 0 or -1 by its sign, as at the true Im z.
 
     The side is sized once: one working precision digits + magnitude +
     max_m cancel_m, one fixed point F, its bits plus 3 max_m n_bits
@@ -329,28 +329,29 @@ def _log_eta_p_eval(p: int, z, prec: int, magnitude: int = 0, phi=0, w=None) -> 
     the sums add, and divide by n with the value.
 
     w = (wr, wi, s, det) folds in Log(w^2) / 4, w^2 = (wr + i wi) / (det 2^s)
-    (_verify): Log is taken of X = P^e w^2, e = 4 / n, exact over det 2^(4 F
-    + s), rounded once and divided by n e = 4, so X's relative error, e times
-    P's, costs what Log P / n did.  e A + Arg(w^2) is a logarithm of X, with
-    Arg(w^2) in (-pi, pi) as Re w > 0, within 2^-50 from the top 60 bits of
-    wr and wi: the fold multiplies the float pass's error by e <= 4, to below
-    4 10^-9 at Y_MIN (at most 3,310 terms, each within a few units of 2^-53
-    of partial sums below 300), far inside the quarter turn.  Each division
-    by n e is a shift, and each pi term one exact rational times pi
-    (_pi_times), as Re z and Im z are dyadic.
+    (_guarded_points): Log is taken of X = P^e w^2, e = 4 / n, exact over
+    det 2^(4 F + s), rounded once and divided by n e = 4, so X's relative
+    error, e times P's, costs what Log P / n did.  e A + Arg(w^2) is a
+    logarithm of X, with Arg(w^2) in (-pi, pi) as Re w > 0, within 2^-50 from
+    the top 60 bits of wr and wi: the fold multiplies the float pass's error
+    by e <= 4, to below 4 10^-9 at Y_MIN (at most 3,310 terms, each within a
+    few units of 2^-53 of partial sums below 300), far inside the quarter
+    turn.  Each division by n e is a shift, and each pi term one exact
+    rational times pi (_pi_times), as Re z and Im z are dyadic.
     """
     powers = (1,) if p == 1 else (1, p)
     n = len(powers)
     digits = prec + GUARD_DIGITS
     point = dps_to_prec(digits + magnitude)
     re, im = z
-    # q has period 1 in Re z, so a huge Re z costs nothing below
-    x = mpf_frac(re, point, _RND)
+    # q has period 1 in Re z and reads the capped y: a huge z costs nothing
+    x, y, cap = mpf_frac(re, point, _RND), mpf_pos(im, point, _RND), from_float(_Y_FLOAT_CAP)
+    y = y if mpf_lt(y, cap) else cap
     passes = []
     for m in powers:
         # the float pass at m x mod 1 + i m y, with its cancellation guard
-        # ceil(-log10 |S_m|) >= 0 and stopping data; a capped y only loosens
-        ym = min(to_float(mpf_mul_int(im, m, point, _RND), rnd=_RND), _Y_FLOAT_CAP)
+        # ceil(-log10 |S_m|) >= 0 and stopping data
+        ym = min(to_float(mpf_mul_int(y, m, point, _RND), rnd=_RND), _Y_FLOAT_CAP)
         est = _float_log_product(to_float(mpf_frac(mpf_mul_int(x, m, point, _RND), point, _RND),
                                           rnd=_RND), ym)
         passes.append((est, max(0, math.ceil(-est.real / math.log(10))),
@@ -359,7 +360,6 @@ def _log_eta_p_eval(p: int, z, prec: int, magnitude: int = 0, phi=0, w=None) -> 
     wp = dps_to_prec(working)
     bits = wp + 3 * max(stop[3] for _, _, stop in passes)
     g = p.bit_length() + 3
-    y = mpf_pos(im, point, _RND)
     qr, qi = mpc_expjpi((mpf_shift(x, 1), mpf_shift(y, 1)), bits + g + 10, _RND)
     qr, qi = to_fixed(qr, bits + g), to_fixed(qi, bits + g)
     re_s, im_s, terms, tail = 1, 0, 0, fzero
@@ -417,8 +417,9 @@ def eta_p_branch_ratio(p: int, z, prec: int = DEFAULT_PRECISION):
     imaginary part in (-pi, pi], so the ratio is exp(pi i r / k), a 2k-th
     root of unity with k = k_of_p(p), and equal to 1 exactly when r = 0.
     """
-    k = k_of_p(p)
-    im = log_eta_p(p, z, prec)._mpc_[1]
+    k = k_of_p(p)  # the one check of p
+    check_precision(prec)
+    im = _log_eta_p_eval(p, _checked_point(z, prec), prec).value._mpc_[1]
     wp = dps_to_prec(prec + GUARD_DIGITS)
     pi = mpf_pi(wp, _RND)
     turns = mpf_div(mpf_sub(mpf_mul_int(im, 2 * k, wp, _RND), pi, wp, _RND), mpf_shift(pi, 1),
@@ -487,12 +488,12 @@ class VerificationReport(NamedTuple):
 
 
 def _guarded_points(z, a, b, c, d, prec: int, p: int):
-    """(z, g z, guard, (u, v, s)) for g = (a, b; c, d): z and g z as raw
-    pairs, checked for the series, and c z + d = (u + i v) / 2^s.  z is
-    the dyadic (X + i Y) / 2^s, exact unless a part has bits below 2^-cap,
-    cap = dps_to_prec(prec + GUARD_DIGITS + MAGNITUDE_MAX_DIGITS): those
-    are dropped, a move far below what any side carries.  With u = c X +
-    d 2^s and v = c Y, g z is formed once,
+    """(z, g z, guard, w2) for g = (a, b; c, d) of det = a d - b c: z and g z
+    as raw pairs, checked for the series, and the w of _log_eta_p_eval (None
+    when c = 0).  z is the dyadic (X + i Y) / 2^s, exact unless a part has
+    bits below 2^-cap, cap = dps_to_prec(prec + GUARD_DIGITS +
+    MAGNITUDE_MAX_DIGITS): those are dropped, a move far below what any side
+    carries.  With u = c X + d 2^s and v = c Y, g z is formed once,
 
         Re g z = ((a X + b 2^s) u + a Y v) / (u^2 + v^2),
         Im g z = det Y 2^s / (u^2 + v^2),
@@ -515,9 +516,9 @@ def _guarded_points(z, a, b, c, d, prec: int, p: int):
     if e - 1 <= (MAGNITUDE_MAX_DIGITS + 1 - math.log10(p)) / math.log10(2):
         s = min(dps_to_prec(digits + MAGNITUDE_MAX_DIGITS), max(0, -min(part[2] for part in parts)))
         x, y = (to_fixed(part, s) for part in w)
-        num, u, v = a * x + (b << s), c * x + (d << s), c * y
+        num, u, v, det = a * x + (b << s), c * x + (d << s), c * y, a * d - b * c
         den = u * u + v * v
-        gz = (num * u + a * y * v, (a * d - b * c) * y << s)
+        gz = (num * u + a * y * v, det * y << s)
         with contextlib.suppress(OverflowError):
             # int / int rounds the quotient once
             top = p * max(abs(mpc_to_complex(w, rnd=_RND)), abs(complex(gz[0] / den, gz[1] / den)))
@@ -539,21 +540,19 @@ def _guarded_points(z, a, b, c, d, prec: int, p: int):
     wp = dps_to_prec(digits + guard)
     gz = tuple(_quotient(t, den, wp) for t in gz)
     _check_imaginary_part(gz[1], prec)
-    return (from_man_exp(x, -s), from_man_exp(y, -s)), gz, guard, (u, v, s)
+    # w = (c z + d) / (i sgn c sqrt det), Re w > 0, has w^2 = -(u + i v)^2 / (det 4^s)
+    w2 = (v * v - u * u, -2 * u * v, 2 * s, det) if c else None
+    return (from_man_exp(x, -s), from_man_exp(y, -s)), gz, guard, w2
 
 
-def _verify(p: int, m, det: int, phi, z, prec: int) -> VerificationReport:
+def _verify(p: int, m, phi, z, prec: int) -> VerificationReport:
     """Check log eta_p(g z) against log eta_p(z) + (pi i / 12) phi
     + (1/2) sgn(c)^2 Log((c z + d)/(i sgn c sqrt det)) for the integer
     matrix m = (a, b; c, d) of determinant det; p = 1 is the classical law."""
     check_precision(prec)
-    a, b, c, d = m
-    z, gz, guard, (u, v, s) = _guarded_points(z, a, b, c, d, prec, p)
+    z, gz, guard, w2 = _guarded_points(z, *m, prec, p)
     lhs = _log_eta_p_eval(p, gz, prec, guard)
-    # w = (c z + d) / (i sgn c sqrt det) has Re w = |c| Im z / sqrt det > 0, so the
-    # right side folds in (1/2) Log w = Log(w^2) / 4, w^2 = -(u + i v)^2 / (det 4^s)
-    rhs = _log_eta_p_eval(p, z, prec, guard, phi, (v * v - u * u, -2 * u * v, 2 * s, det) if c
-                          else None)
+    rhs = _log_eta_p_eval(p, z, prec, guard, phi, w2)
     wp = dps_to_prec(prec + GUARD_DIGITS + guard)
     residual = mpc_abs(mpc_sub(lhs.value._mpc_, rhs.value._mpc_, wp, _RND), wp, _RND)
     return VerificationReport(lhs.value, rhs.value, mpmath.mp.make_mpf(residual), lhs.terms,
@@ -567,7 +566,7 @@ def verify_eta_transform(
     """Check log eta(g z) against
     log eta(z) + (1/2) sgn(c)^2 Log((c z + d)/(i sgn c)) + (pi i / 12) Phi(g).
     """
-    return _verify(1, g.entries(), 1, rademacher_phi(g), z, prec)
+    return _verify(1, g.entries(), rademacher_phi(g), z, prec)
 
 
 def verify_theorem1(
@@ -576,4 +575,4 @@ def verify_theorem1(
     """Check the level-p law log eta_p(e z) =
     log eta_p(z) + (1/2) sgn(c)^2 Log((c z + d)/(i sgn c)) + (pi i / 12) Phi_p(e),
     with (a, b, c, d) the real entries of e (sqrt p enters only here)."""
-    return _verify(e.p, *e.integer_matrix(), phi_p(e), z, prec)
+    return _verify(e.p, e.integer_matrix()[0], phi_p(e), z, prec)

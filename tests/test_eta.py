@@ -84,6 +84,17 @@ def test_im_too_small_raises():
     assert count and 2400 <= int(count.group(1)) <= 2450
 
 
+def test_refusal_estimate_is_sized_at_64_bits():
+    # the message's summand count costs the same at any precision
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        with pytest.raises(ImaginaryPartError, match="about 4424 terms"):
+            log_eta(mpmath.mpc(0.3, 5e-4), prec=10_000)
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.005
+
+
 @pytest.mark.parametrize("re, im", [
     ("nan", "1"), ("inf", "1"), ("-inf", "1"), ("0", "inf"), ("0", "nan"),
     ("0", "-1"), ("0.3", "0"),
@@ -114,17 +125,53 @@ def _assert_refused_everywhere(z, match=None):
 
 
 def test_huge_imaginary_part():
-    # |q| = exp(-2 pi 1e400) leaves S = 1 and Log S = 0: log eta is pi i z /
-    # 12, each part one product rounded once, so it is the exact value
-    # correctly rounded to the side's working bits
-    with mp(50):
-        z = mpmath.mpc("0.1", "1e400")
-    result = eta._log_eta_p_eval(1, z._mpc_, 50)
-    assert result.terms == 1 and result.tail_bound < mpmath.mpf(10) ** -1000
-    wp = mpmath.libmp.dps_to_prec(result.working_digits)
-    with mpmath.workprec(wp + 1000):
-        exact = mpmath.pi * 1j * z / 12
-    assert result.value._mpc_ == tuple(mpmath.libmp.mpf_pos(t, wp, "n") for t in exact._mpc_)
+    # |q| <= exp(-2 pi 1e400) leaves S = 1 and Log S = 0: log eta_p is
+    # pi i (sum m) z / 12 n, each part one product rounded once, so it is the
+    # exact value correctly rounded to the side's working bits.  q is read
+    # at the capped Im z, so even Im z = 10^(10^9) answers at once
+    for im in ("1e400", "1e100000", "1e1000000000"):
+        for p in (1, 5):
+            with mp(50):
+                z = mpmath.mpc("0.1", im)
+            start = time.perf_counter()
+            result = eta._log_eta_p_eval(p, z._mpc_, 50)
+            assert time.perf_counter() - start < 1, (im, p)
+            assert result.terms == 1 and result.tail_bound < mpmath.mpf(10) ** -1000
+            wp = mpmath.libmp.dps_to_prec(result.working_digits)
+            with mpmath.workprec(wp + 1000):
+                exact = mpmath.pi * 1j * z * (1 if p == 1 else (1 + p) // 2) / 12
+            assert result.value._mpc_ == tuple(mpmath.libmp.mpf_pos(t, wp, "n")
+                                               for t in exact._mpc_), (im, p)
+
+
+def test_q_is_the_same_at_the_cap_and_beyond(monkeypatch):
+    # from Im z = 10^6 on, |q| is far below the fixed point, so each part
+    # truncates to 0 or -1 by its sign wherever Im z is read
+    pairs, fixed = [], eta._pentagonal_sum
+    monkeypatch.setattr(eta, "_pentagonal_sum", lambda *args: pairs.append(args[0]) or fixed(*args))
+    for x in ("0.1", "0.3", "-0.41", "0.6", "0.25", "0.75"):
+        for p in (1, 5):
+            seen = []
+            for y in ("1e6", "1e400"):
+                pairs.clear()
+                with mp(50):
+                    eta._log_eta_p_eval(p, mpmath.mpc(x, y)._mpc_, 50)
+                seen.append(list(pairs))
+            assert seen[0] == seen[1] and set(sum(seen[0], ())) <= {0, -1}, (x, p)
+
+
+def test_log_eta_is_relative_to_its_size():
+    # log_eta carries P + GUARD_DIGITS significant digits, so it is an
+    # absolute 10^-P only near the origin: at z + 24 10^k, where the value is
+    # about 2 pi 10^k, the shift law holds to that many digits of it
+    prec = 50
+    z = mpmath.mpc(0.1, 0.8)
+    near = log_eta(z, prec)
+    for k in (40, 62, 100):
+        with mpmath.workprec(1000):
+            shift = 24 * mpmath.mpf(10) ** k
+            diff = log_eta(z + shift, prec) - near - 2j * mpmath.pi * 10**k
+            assert abs(diff) < mpmath.mpf(10) ** -(prec + GUARD_DIGITS - 1) * 2 * mpmath.pi * 10**k
 
 
 def test_huge_point_certificate_is_absolute():
@@ -601,6 +648,21 @@ def test_branch_ratio_nontrivial_case():
         q = eta_p_branch_ratio(5, mpmath.mpc("0.9", "0.5"), prec=60)
         expected = mpmath.expjpi(mpmath.mpf(1) / 6)
         assert abs(q - expected) < mpmath.mpf(10) ** -50
+
+
+def test_branch_ratio_checks_its_level_once(monkeypatch):
+    # k_of_p checks p; then the precision and z, in the order log_eta_p has
+    from rademacher import matrices
+
+    calls, real = [], matrices.is_odd_prime
+    monkeypatch.setattr(matrices, "is_odd_prime", lambda p: calls.append(p) or real(p))
+    eta_p_branch_ratio(43, mpmath.mpc("0.2", "0.7"))
+    assert calls == [43]
+    for p, prec, error in ((45, 10, NotOddPrimeError), (43, 10, DomainError),
+                           (43, 50, NotUpperHalfPlaneError)):
+        with pytest.raises(DomainError) as info:
+            eta_p_branch_ratio(p, "abc", prec)
+        assert type(info.value) is error
 
 
 def test_automorphy_term_has_no_sign_or_root():
