@@ -29,9 +29,24 @@ def run_json(capsys, argv):
     return code, json.loads(out)
 
 
+def test_phi_example(capsys):
+    code, payload = run_json(capsys, ["phi", "--matrix", "3,1,8,3"])
+    assert code == 0 and payload == {"phi": 0}
+
+
+def test_phi_p_example(capsys):
+    code, payload = run_json(capsys, ["phi-p", "--p", "5", "--matrix", "1,0,5,1"])
+    assert code == 0 and payload == {"phi_p": "0"}
+
+
 def test_phi_p_fricke_flag(capsys):
     code, payload = run_json(capsys, ["phi-p", "--fricke", "5:0,-1,1,0"])
     assert code == 0 and payload == {"phi_p": "0"}
+
+
+def test_decompose_example(capsys):
+    code, payload = run_json(capsys, ["decompose", "--matrix", "0,-1,1,0"])
+    assert code == 0 and payload == {"word": [], "endpoints": ["1/0", "0/1"]}
 
 
 def test_decompose_long_parabolic(capsys):
@@ -43,9 +58,21 @@ def test_decompose_long_parabolic(capsys):
                                     f"{n}/{n + 1}"]
 
 
+def test_endpoints_word_equals_form(capsys):
+    code, payload = run_json(capsys, ["endpoints", "--word=-2,1,-2"])
+    assert code == 0
+    assert payload == {"endpoints": ["1/0", "0/1", "1/2", "1/3", "3/8"]}
+
+
 def test_endpoints_empty_word(capsys):
     code, payload = run_json(capsys, ["endpoints", "--word="])
     assert code == 0 and payload == {"endpoints": ["1/0", "0/1"]}
+
+
+def test_km(capsys):
+    code, payload = run_json(capsys, ["km", "--word=-2,1,-2"])
+    assert code == 0
+    assert payload == {"word": [-2, 1, -2], "trace": -3, "signature": -1, "phi": 0}
 
 
 def test_json_outputs_recompute(capsys):
