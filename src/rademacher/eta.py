@@ -30,7 +30,10 @@ requested precision in decimal digits.  The evaluation has three stages.
    side is raised by max_m ceil(-log10 |S_m|) digits on top of GUARD_DIGITS.
 2. Each sum runs over n = 0, +-1, +-2, ... in one complex fixed point
    (_pentagonal_sum), within 2^-prec of the exact partial sum, and stops
-   once its proved tail moves the logarithm by less than 10^-(P+10).
+   once its proved tail moves the logarithm by less than 10^-(P+10).  Its
+   powers q^e(+-n) come from a short addition sequence planned once per
+   size in pure integers (_pentagonal_plan): each is the product of two
+   powers already held, about 2.5 products per pair n.
 3. The sums are multiplied exactly as integers, and one Log of the
    product follows.  The terms pi i (sum m) z / 12 n, 2 pi i k / n and any
    pi i phi / 12 are one exact rational times pi per part, rounded once.
@@ -58,8 +61,10 @@ any arithmetic at that precision.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import contextlib
+import functools
 import math
 from decimal import Decimal
 from fractions import Fraction
@@ -93,6 +98,10 @@ _FLOAT_CUTOFF_LOG = 30 * math.log(2)
 # fixed point as at any larger Im z; capping there only loosens the tail bound
 _Y_FLOAT_CAP = 1e6
 _LOG2 = math.log(2)
+# (u^2 + v^2, u, v) for the Gaussian primes u + v i, 0 < u < v, of norm below 300
+_GAUSSIAN_PRIMES = sorted((t, u, v) for v in range(2, 18) for u in range(1, v)
+                          for t in [u * u + v * v]
+                          if t < 300 and all(t % d for d in range(2, math.isqrt(t) + 1)))
 _RND = round_nearest  # every raw operation, as in mpmath's default context
 
 
@@ -207,33 +216,28 @@ def _pentagonal_sum(q, bits: int, stop, log_abs_s_est: float):
     exp(log u + slack), taken as a 64-bit mpf because u leaves the double
     range, is then at least u, and -log(1 - u) <= u + u^2 for u <= 1/2.
 
-    Rounding budget.  q, q^3 (_fixed_power), the step -q^(3n-2),
-    a = (-1)^n q^e(n), q^n and S_n are Gaussian integers over 2^F,
-    F = prec + guard with prec the bits of the working precision.  Count
-    errors in units eps = 2^-F.  A product of x~ and y~ within alpha and
-    beta of x and y with |x|, |y| <= 1, both parts truncated by >> F (less
-    than one unit each, sqrt 2 together, whatever the signs), is within
-    alpha + beta + alpha beta eps + sqrt 2 <= alpha + beta + 2 of xy while
-    alpha beta eps <= 2 - sqrt 2, which holds below.  The q passed in is
-    within 2, and so is its exact negation, the first step.  Then q^3 is
-    within 10; the step after n multiplications within 12 n - 10; q^n
-    within 4 n - 2; a within sum_{j<=n} (12 j - 8) = 6 n^2 - 2 n; the
-    term a (1 + q^n) = a + a q^n within 12 n^2; and S_n, summed exactly,
-    within sum_{j<=n} 12 j^2 = 2 n (n+1) (2n+1) = N (N^2 - 1) / 2 < N^3 / 2
-    for N = 2 n + 1 summands.
-    guard >= 3 n_bits (_stopping_test), so N^3 / 2 < 2^guard and S_N is
-    within 2^-prec of the exact partial sum; an N of 2^n_bits or more
-    raises ArithmeticError.  Near a cusp, where |S| ~ 1e-113, the
-    cancellation guard in prec still leaves digits + magnitude digits
-    relative to |S|.
+    Rounding budget.  The powers of _pentagonal_plan and S_n are Gaussian
+    integers over 2^F, F = prec + guard with prec the bits of the working
+    precision; count errors in units eps = 2^-F.  A product of x~ and y~
+    within alpha and beta of x and y with |x|, |y| <= 1, both parts
+    truncated by >> F (less than one unit each, sqrt 2 together, whatever
+    the signs), is within alpha + beta + alpha beta eps + sqrt 2 <= alpha +
+    beta + 2 of xy while alpha beta eps <= 2 - sqrt 2, as here, where alpha,
+    beta <= 6 N^2 and F >= 136 + 3 n_bits; a negation is exact.  q is
+    within 2 units, so by induction, whatever the sequence, a power q^x =
+    q^y q^(x-y) is within (4 y - 2) + (4 (x - y) - 2) + 2 = 4 x - 2.  The
+    pair at n, of exponents e(n) + e(-n) = 3 n^2, is within 12 n^2 - 4, and
+    S_n, summed exactly, within sum_{j<=n} 12 j^2 = N (N^2 - 1) / 2 < N^3 /
+    2 for N = 2 n + 1 summands.  guard >= 3 n_bits (_stopping_test), so
+    S_N is within 2^-prec of the exact partial sum; a sum that needs
+    2^n_bits summands or more raises ArithmeticError before the plan runs
+    out.  Near a cusp, where |S| ~ 1e-113, the cancellation guard in prec
+    still leaves digits + magnitude digits relative to |S|.
     """
     log_absq, log_tail_den, target, n_bits = stop
-    qr, qi = q
-    q3r, q3i = _fixed_power(qr, qi, 3, bits)
-    # the step -q^(3n-2) = -q^(e(n) - e(n-1)) and a = (-1)^n q^e(n), with
-    # e(n) = n(3n-1)/2, carry the sign, so every term is added
-    dr, di = ar, ai = -qr, -qi
-    qnr, qni = qr, qi
+    width, plan = _pentagonal_plan(n_bits)
+    held = [None] * width
+    held[0] = -q[0], -q[1]
     sr, si = 1 << bits, 0
     n = 0
     while True:
@@ -243,23 +247,83 @@ def _pentagonal_sum(q, bits: int, stop, log_abs_s_est: float):
             log_u = log_t - _log_abs_fixed(sr, si, bits)
             if log_u < target:
                 break
-        if n:
-            dr, di = (dr * q3r - di * q3i) >> bits, (dr * q3i + di * q3r) >> bits
-            ar, ai = (ar * dr - ai * di) >> bits, (ar * di + ai * dr) >> bits
-            qnr, qni = (qnr * qr - qni * qi) >> bits, (qnr * qi + qni * qr) >> bits
+        if n == len(plan):
+            raise ArithmeticError(
+                f"{2 * n + 3} or more pentagonal summands; the fixed point was "
+                f"sized for fewer than {1 << n_bits}"
+            )
+        # the powers of pair n + 1, whose terms the plan signs (-1)^(n+1)
+        steps, i, j = plan[n]
+        for k, a, b, neg in steps:
+            (ar, ai), (br, bi) = held[a], held[b]
+            cr, ci = (ar * br - ai * bi) >> bits, (ar * bi + ai * br) >> bits
+            held[k] = (-cr, -ci) if neg else (cr, ci)
         n += 1
-        # (-1)^n q^e(-n) = a q^n
-        sr += ar + ((ar * qnr - ai * qni) >> bits)
-        si += ai + ((ar * qni + ai * qnr) >> bits)
-    if 2 * n + 1 >= 1 << n_bits:
-        raise ArithmeticError(
-            f"{2 * n + 1} pentagonal summands; the fixed point was sized for "
-            f"fewer than {1 << n_bits}"
-        )
+        (ar, ai), (br, bi) = held[i], held[j]
+        sr += ar + br
+        si += ai + bi
     sizes = abs(e * log_absq) + abs(log_tail_den) + abs(log_t - log_u) + abs(log_u)
     slack = (sizes + 100) * 2.0**-48
     u = mpf_exp(from_float(log_u + slack), 64, _RND)
     return (sr, si), 2 * n + 1, mpf_add(u, mpf_mul(u, u, 64, _RND), 64, _RND)
+
+
+@functools.lru_cache(maxsize=None)
+def _pentagonal_plan(n_bits: int):
+    """(width, plan): the short addition sequence of _pentagonal_sum for the
+    pairs n = 1, 2, ... below 2^(n_bits - 1), in pure integers.  plan[n - 1]
+    = (steps, i, j): each step (k, a, b, neg) sets slot k to the product of
+    slots a and b, negated if neg, after which slots i and j hold (-1)^n
+    q^e(n) and (-1)^n q^e(-n), e(n) = n (3n - 1) / 2.  Slot 0 starts as -q,
+    a slot is reused once no later step reads it, and width counts them.
+
+    The exponents rise, e(n) < e(-n) < e(n+1), so every smaller pentagonal
+    exponent is held when e = e(+-n) is formed.  24 e + 1 = m^2 for m = 6 n
+    -+ 1, and e = y + (e - y) with both parts pentagonal exactly when m^2 +
+    1 = r^2 + s^2 another way (Enge, Hart and Johansson, "Short addition
+    sequences for theta functions", J. Integer Seq. 21, 2018): if a
+    Gaussian prime u + v i of norm t, 2 t < m^2 + 1, divides m + i, then
+    r + s i = (m + i) (u - v i) / (u + v i) and y = (r^2 - 1) / 24.  Primes
+    of norm below 300 split most e; any other power q^x, the auxiliary
+    powers included, is q^y q^(x-y) with y the largest exponent held below
+    x.  That takes about 2.5 products per pair, in O(1) work each.
+    """
+    held, sign, events = [1], {1: -1}, []
+    for n in range(1, 1 << n_bits - 1):
+        for m in (6 * n - 1, 6 * n + 1):
+            x, y, norm = (m * m - 1) // 24, held[-1], m * m + 1
+            for t, u, v in _GAUSSIAN_PRIMES:
+                if 2 * t >= norm:
+                    break
+                if norm % t == 0:
+                    v = v if (m * u + v) % t == 0 else -v
+                    r = (m * u + v) // t * u + (u - m * v) // t * v
+                    y = (r * r - 1) // 24
+                    break
+            # q^x = q^y q^(x-y), signed (-1)^n, with q^(x-y) formed first the same way
+            chain = [(x, y, (-1) ** n)] if x not in sign else []
+            while chain and chain[-1][0] - chain[-1][1] not in sign:
+                z = chain[-1][0] - chain[-1][1]
+                chain.append((z, held[bisect.bisect(held, z) - 1], 0))
+            for x, y, want in reversed(chain):
+                product = sign[y] * sign[x - y]
+                sign[x] = want or product
+                events.append(((y, x - y), x, sign[x] != product))
+                bisect.insort(held, x)
+        events.append(((n * (3 * n - 1) // 2, n * (3 * n + 1) // 2), None, False))  # the sum
+    # a power's slot is freed by its last read, and every slot stays in slot or free
+    last = {x: i for i, (reads, _, _) in enumerate(events) for x in reads}
+    slot, free, plan, steps = {1: 0}, [], [], []
+    for i, (reads, x, neg) in enumerate(events):
+        a, b = (slot[r] for r in reads)
+        free += [slot.pop(r) for r in set(reads) if last[r] == i]
+        if x is None:
+            plan.append((tuple(steps), a, b))
+            steps = []
+        else:
+            slot[x] = k = free.pop() if free else len(slot)
+            steps.append((k, a, b, neg))
+    return len(slot) + len(free), tuple(plan)
 
 
 def _fixed_power(qr: int, qi: int, p: int, bits: int):

@@ -15,6 +15,8 @@ rational pivots is kept as an independent oracle under tests/.
 
 from __future__ import annotations
 
+from .matrices import check_ints
+
 
 def tridiag_trace(word) -> int:
     return sum(word)
@@ -47,5 +49,12 @@ def tridiag_signature(word) -> int:
 
 
 def km_phi(word) -> int:
-    """trace - 3 * signature of the word's tridiagonal matrix."""
-    return tridiag_trace(word) - 3 * tridiag_signature(word)
+    """trace - 3 * signature of the word's tridiagonal matrix; DomainError
+    unless every letter is an int (the trace is an int exactly then)."""
+    try:
+        trace = tridiag_trace(word)
+    except TypeError:
+        trace = None
+    if type(trace) is not int:
+        check_ints("a letter", word)
+    return trace - 3 * tridiag_signature(word)

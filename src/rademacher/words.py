@@ -105,12 +105,19 @@ def endpoints_signed(word) -> list[tuple[int, int]]:
     The sequence starts (1, 0), (0, 1) and appends the left column of each
     partial product by the recurrence of the module docstring; every
     consecutive pair satisfies n_j d_{j+1} - n_{j+1} d_j = +1 exactly.
+    DomainError unless every letter is an int, which the last pair shows.
     """
     n0, d0, n1, d1 = 1, 0, 0, 1
-    pts = [(n0, d0), (n1, d1)]
-    for a in word:
-        n0, d0, n1, d1 = n1, d1, a * n1 - n0, a * d1 - d0
-        pts.append((n1, d1))
+    pts, a = [(n0, d0), (n1, d1)], None
+    try:
+        for a in word:
+            n0, d0, n1, d1 = n1, d1, a * n1 - n0, a * d1 - d0
+            pts.append((n1, d1))
+    except TypeError:
+        n1 = a  # the letter that failed
+    if type(n1) is not int or type(d1) is not int:
+        check_ints("a letter", word)
+        check_ints("a letter", (n1, d1))  # word is an iterator the loop has spent
     return pts
 
 
@@ -139,7 +146,8 @@ def turns_from_endpoints(pts) -> EdgeWord:
     edge orientations correct its sign, which makes the result independent
     of the choice of representative sign at every vertex (in particular at
     interior visits to 1/0, where a fixed representative could not encode
-    the turn direction on its own).
+    the turn direction on its own).  DomainError unless every vertex part
+    is an int, which the sum of the letters and the last determinant shows.
     """
     pairs = [(p.n, p.d) if isinstance(p, Farey) else p for p in pts]
     if len(pairs) < 2:
@@ -150,13 +158,19 @@ def turns_from_endpoints(pts) -> EdgeWord:
         raise WrongBaseEdgeError(f"path must start 1/0, 0/1; got {n0}/{d0}, {n1}/{d1}")
     det_prev = n0 * d1  # D_0, +-1
     word = []
-    for n2, d2 in pairs[2:]:
-        det = n1 * d2 - n2 * d1
-        if det != 1 and det != -1:
-            n1, d1, n2, d2, det = map(int_text, (n1, d1, n2, d2, det))
-            raise NotAnEdgeError(f"{n1}/{d1} -> {n2}/{d2} is not an edge (determinant {det})")
-        # sgn(D) = D for D = +-1
-        word.append((n0 * d2 - n2 * d0) * det_prev * det)
-        det_prev = det
-        n0, d0, n1, d1 = n1, d1, n2, d2
+    try:
+        for n2, d2 in pairs[2:]:
+            det = n1 * d2 - n2 * d1
+            if det != 1 and det != -1:
+                n1, d1, n2, d2, det = map(int_text, (n1, d1, n2, d2, det))
+                raise NotAnEdgeError(f"{n1}/{d1} -> {n2}/{d2} is not an edge (determinant {det})")
+            # sgn(D) = D for D = +-1
+            word.append((n0 * d2 - n2 * d0) * det_prev * det)
+            det_prev = det
+            n0, d0, n1, d1 = n1, d1, n2, d2
+        trace = sum(word, det_prev)
+    except TypeError:
+        trace = None
+    if type(trace) is not int:
+        check_ints("a vertex part", [x for pair in pairs for x in pair])
     return tuple(word)

@@ -1,5 +1,6 @@
 import ast
 import inspect
+import itertools
 import json
 import math
 import random
@@ -570,6 +571,86 @@ def test_rounding_budget_is_checked():
         eta._pentagonal_sum(q, bits, stop, 1000.0)
 
 
+def _largest_plan():
+    # the n_bits of the longest sum a check can run: P = MAX_PRECISION at
+    # Im z = Y_MIN on the imaginary axis, where |S| is smallest
+    est = eta._float_log_product(0.0, eta.Y_MIN)
+    return eta._stopping_test(eta.Y_MIN, est.real, eta.MAX_PRECISION + GUARD_DIGITS)[3]
+
+
+def test_pentagonal_plan_is_a_short_addition_sequence():
+    # every plan a sum can be given (n_bits >= 2, as _stopping_test predicts
+    # at least one summand), replayed in pure integers on the (exponent,
+    # sign) each slot holds
+    top = _largest_plan()
+    assert top == 13
+    for n_bits in range(2, top + 1):
+        width, plan = eta._pentagonal_plan(n_bits)
+        assert len(plan) == 2 ** (n_bits - 1) - 1
+        slots, born, last, event = {0: (1, -1)}, {1: 0}, {}, 0
+        for n, (steps, i, j) in enumerate(plan, 1):
+            for k, a, b, neg in steps:
+                # a step multiplies two powers held at that step, and forms
+                # each power once
+                event += 1
+                (x, sx), (y, sy) = slots[a], slots[b]
+                last[x] = last[y] = event
+                assert x + y not in born, (n_bits, n)
+                slots[k], born[x + y] = (x + y, -sx * sy if neg else sx * sy), event
+            # e(+-n) exist, signed (-1)^n, before pair n is summed
+            event += 1
+            e = n * (3 * n - 1) // 2
+            assert (slots[i], slots[j]) == ((e, (-1) ** n), (e + n, (-1) ** n)), (n_bits, n)
+            last[e] = last[e + n] = event
+        # every power is read, and none after its slot is overwritten (that
+        # read would meet the wrong exponent above); a slot is reused once
+        # its power is read for the last time, so there are as many slots as
+        # powers live at once
+        assert born.keys() == last.keys()
+        live = [0] * (event + 1)
+        for x, start in born.items():
+            live[start] += 1
+            live[last[x]] -= 1
+        assert width == max(itertools.accumulate(live)), n_bits
+    # about 2.5 products per pair, where the step recurrence took 4
+    assert sum(len(steps) for steps, _, _ in plan) <= 2.5 * len(plan)
+
+
+@pytest.mark.parametrize("digits", [40, 100, 300])
+@pytest.mark.parametrize("qr, qi", [(1, 0), (-1, 0), (0, 1), (1, 1), (-1, 1), (1, -1)])
+def test_pentagonal_sum_is_exact_where_every_power_is(qr, qi, digits):
+    # q = (qr + i qi) / 2 is a dyadic whose powers up to the last exponent
+    # summed have fewer than F fractional bits, so no product of the plan
+    # rounds: the fixed-point sum is the exact partial sum, bit for bit.  A
+    # product rounded beyond the rule's truncation, a dropped power or a
+    # wrong sign shows here, where the budget of the other tests hides it
+    y = -math.log(abs(complex(qr, qi)) / 2) / (2 * math.pi)
+    est = eta._float_log_product(math.atan2(qi, qr) / (2 * math.pi), y)
+    stop = eta._stopping_test(y, est.real, digits)
+    bits = mpmath.libmp.dps_to_prec(digits) + 3 * stop[3]
+    (sr, si), terms, _ = eta._pentagonal_sum((qr << bits - 1, qi << bits - 1), bits, stop, est.real)
+    power, exact, prev = (1, 0), [1 << bits, 0], 0
+    for n in range(1, terms // 2 + 1):
+        for e in (n * (3 * n - 1) // 2, n * (3 * n + 1) // 2):
+            for _ in range(e - prev):
+                power = (power[0] * qr - power[1] * qi, power[0] * qi + power[1] * qr)
+            prev = e
+            for part, t in enumerate(power):
+                # q^e over 2^F, 2^F (qr + i qi)^e / 2^e, is a Gaussian integer,
+                # and so is every lower power
+                assert (t << bits) % (1 << e) == 0
+                exact[part] += (-1) ** n * ((t << bits) >> e)
+    assert terms > 9 and [sr, si] == exact
+
+
+def test_largest_pentagonal_plan_builds_within_a_second():
+    # the largest plan a sum can be given builds in about 0.05 s on a
+    # 2-core x86-64 container; the bound leaves room for slower machines
+    start = time.perf_counter()
+    eta._pentagonal_plan.__wrapped__(_largest_plan())
+    assert time.perf_counter() - start < 1
+
+
 def test_float_pass_matches_full_loop():
     # the closed tail -q^(n+1)/(1-q) stays within 2^-60/(1-|q|^2) of the
     # terms it replaces.  The bound is 1e-12 relative to the sum once that
@@ -672,15 +753,15 @@ def test_automorphy_term_has_no_sign_or_root():
 
 
 def test_pentagonal_sum_signs_in_the_step(monkeypatch):
-    # (-1)^n rides in the step, so no parity test is left, and q^3 is the
-    # one power formed, by _fixed_power
+    # (-1)^n rides in the plan's signed powers, so no parity test is left,
+    # and the sum forms every power from q, with no _fixed_power of its own
     tree = ast.parse(textwrap.dedent(inspect.getsource(eta._pentagonal_sum)))
     assert not any(isinstance(node, ast.Mod) for node in ast.walk(tree))
     powers, fixed = [], eta._fixed_power
     monkeypatch.setattr(eta, "_fixed_power", lambda *args: powers.append(args[2]) or fixed(*args))
     log_eta_p(5, mpmath.mpc("0.2", "0.3"), prec=50)
-    # per series: q^m for the product, then q^3 in the sum
-    assert powers == [1, 3, 5, 3]
+    # per series: q^m for the product
+    assert powers == [1, 5]
 
 
 def test_one_fixed_point_per_side(monkeypatch):
@@ -994,6 +1075,42 @@ def test_no_global_precision_read(capsys):
     assert len(cases) == 8 + 20 + 16 + 1
     assert json.loads(cases[-1]())["tolerance"] == "1.0e-40"
     assert _reports_at(15, cases) == _reports_at(1000, cases)
+
+
+def test_threads_build_plans_alike():
+    # concurrent first calls at plan sizes not yet cached give the reports
+    # of a serial run, and leave the plans a fresh build makes
+    with mp(100):
+        cases = [(g, mpmath.mpc(x, y), prec) for g, x, y in ((S, "0.2", "0.9"), (T, "0.1", "0.05"),
+                                                             (S, "0.3", "0.01"))
+                 for prec in (30, 80)]
+    eta._pentagonal_plan.cache_clear()
+    reports = {i: set() for i in range(len(cases))}
+
+    def work():
+        for i, (g, z, prec) in enumerate(cases):
+            reports[i].add(json.dumps(verify_eta_transform(g, z, prec=prec).to_dict()))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    built = []
+    for n_bits in range(1, 10):
+        hits = eta._pentagonal_plan.cache_info().hits
+        plan = eta._pentagonal_plan(n_bits)
+        if eta._pentagonal_plan.cache_info().hits > hits:
+            built.append(n_bits)
+            assert plan == eta._pentagonal_plan.__wrapped__(n_bits), n_bits
+    assert len(built) >= 3
+    for i, (g, z, prec) in enumerate(cases):
+        assert reports[i] == {json.dumps(verify_eta_transform(g, z, prec=prec).to_dict())}, i
 
 
 def test_threads_share_no_precision():

@@ -1,9 +1,13 @@
+from fractions import Fraction
+
+import pytest
 from conftest import random_word
 from hypothesis import given
 from hypothesis import strategies as st
 from oracles import inertia_elimination
 
 from rademacher.dedekind import rademacher_phi
+from rademacher.errors import DomainError
 from rademacher.inertia import inertia_minors, km_phi, tridiag_signature, tridiag_trace
 from rademacher.words import reconstruct
 
@@ -41,6 +45,17 @@ def test_km_frozen():
     assert km_phi(()) == 0
     assert km_phi((-2, 1, -2)) == 0
     assert km_phi((2,)) == -1
+
+
+@pytest.mark.parametrize("word, kind", [
+    ([1.5], "float"), (["a"], "str"), ([Fraction(2)], "Fraction"), ((3, -2.0, 1), "float"),
+    ((1, None), "NoneType"),
+])
+def test_km_refuses_a_letter_that_is_not_an_int(word, kind):
+    # a float letter once gave a float symbol, and a str a bare TypeError
+    with pytest.raises(DomainError, match=f"^a letter must be an int, not {kind}$"):
+        km_phi(word)
+    assert km_phi((True, 2)) == km_phi((1, 2))  # a bool is an int
 
 
 @given(any_words)

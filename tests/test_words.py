@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from conftest import (
@@ -14,7 +15,7 @@ from conftest import (
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rademacher.errors import NotAnEdgeError, ParseError, WrongBaseEdgeError
+from rademacher.errors import DomainError, NotAnEdgeError, ParseError, WrongBaseEdgeError
 from rademacher.matrices import S, T, UnimodularMatrix, t_power
 from rademacher.words import (
     INFINITY,
@@ -150,6 +151,28 @@ def test_turns_errors():
     with pytest.raises(NotAnEdgeError, match=r"-> <16610-bit integer>/3 .*\(determinant "
                                              r"-<16610-bit integer>\)$"):
         turns_from_endpoints([(1, 0), (0, 1), (big, 3)])
+
+
+@pytest.mark.parametrize("word, kind", [
+    ([0.5], "float"), (["a"], "str"), ((1, 2, 0.0, 3), "float"), ([Fraction(1)], "Fraction"),
+])
+def test_a_letter_that_is_not_an_int_is_refused(word, kind):
+    # endpoints_signed once returned float pairs; reconstruct and endpoints
+    # read their letters through it
+    for call in (endpoints_signed, reconstruct, endpoints):
+        for letters in (word, iter(word)):
+            with pytest.raises(DomainError, match=f"^a letter must be an int, not {kind}$"):
+                call(letters)
+
+
+@pytest.mark.parametrize("pts, kind", [
+    ([(1, 0), (0, 1), (1.0, 1)], "float"), ([(1.0, 0), (0, 1)], "float"),
+    ([(1, 0), (0, 1), ("a", 1)], "str"), ([(1, 0), (0, 1), (-1, Fraction(2))], "Fraction"),
+])
+def test_a_vertex_part_that_is_not_an_int_is_refused(pts, kind):
+    # turns_from_endpoints once returned (-1.0,) for the first path
+    with pytest.raises(DomainError, match=f"^a vertex part must be an int, not {kind}$"):
+        turns_from_endpoints(pts)
 
 
 @given(any_words)
