@@ -43,18 +43,23 @@ def _sigma(h: int, k: int) -> int:
         12 k s(h, k) = k sum (-1)^(i+1) q_i + r_1 + h' - (3k if n odd else k),
 
     and 0 for h = 0 mod k: O(log k) steps on integers no larger than k.
+    The loop takes two Euclid steps per iteration, q_i for an odd i and
+    then for an even one, so the sign of each q_i is fixed by its place in
+    the loop, and the parity of n by the exit the chain leaves by.
     """
     h %= k
     if not h:
         return 0
-    r0, r1, alternating, sign = k, h, 0, 1
-    while r1:
-        q, r = divmod(r0, r1)
-        alternating += sign * q
-        sign = -sign
-        r0, r1 = r1, r
-    # sign is (-1)^n now
-    return k * alternating + h + pow(h, -1, k) - (3 * k if sign < 0 else k)
+    r0, r1, alternating = k, h, 0
+    while True:
+        alternating += r0 // r1
+        r0 %= r1
+        if not r0:  # n odd
+            return k * alternating + h + pow(h, -1, k) - 3 * k
+        alternating -= r1 // r0
+        r1 %= r0
+        if not r1:  # n even
+            return k * alternating + h + pow(h, -1, k) - k
 
 
 def dedekind_sum(h: int, k: int) -> Fraction:

@@ -94,6 +94,26 @@ def check_ints(what: str, values) -> None:
             raise DomainError(f"{what} must be an int, not {type(x).__name__}")
 
 
+def check_iterable(what: str, values) -> None:
+    """DomainError naming the type of values unless it is iterable."""
+    try:
+        iter(values)
+    except TypeError:
+        raise DomainError(f"{what} must be iterable, not {type(values).__name__}") from None
+
+
+def check_word(word, seen) -> None:
+    """DomainError naming what is wrong with a word whose letter loop failed
+    or gave a result that is not an int: the word is not iterable, or its
+    first letter that is not an int.  An iterator the loop has read is not
+    read again: seen (the letter that failed, or the loop's results) names
+    the type."""
+    check_iterable("a word", word)
+    if iter(word) is not word:
+        check_ints("a letter", word)
+    check_ints("a letter", seen)
+
+
 def check_odd_prime(p: int) -> None:
     """NotOddPrimeError unless p is an int and is_odd_prime(p)."""
     if not isinstance(p, int):

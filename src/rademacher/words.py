@@ -17,15 +17,18 @@ recurrence
 from (n_{-1}, d_{-1}) = (1, 0) and (n_0, d_0) = (0, 1).  endpoints_signed
 runs it; reconstruct reads the product off its last two columns.
 decompose inverts this up to sign, endpoints and turns_from_endpoints
-convert between words and vertex sequences.
+convert between words and vertex sequences.  endpoints_signed and
+turns_from_endpoints read their input once, in one loop; they look at its
+shape and types only when that loop, or the type of its result, fails.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from math import gcd
 
 from .errors import DomainError, NotAnEdgeError, ParseError, WrongBaseEdgeError
-from .matrices import UnimodularMatrix, _Value, check_ints, int_text
+from .matrices import UnimodularMatrix, _Value, check_ints, check_iterable, check_word, int_text
 
 EdgeWord = tuple[int, ...]
 
@@ -48,6 +51,10 @@ class Farey(_Value):
     @property
     def is_infinity(self) -> bool:
         return self.d == 0
+
+    def __iter__(self):
+        """n, d = v unpacks a Farey as it does a raw pair."""
+        return iter((self.n, self.d))
 
     def __str__(self) -> str:
         return f"{self.n}/{self.d}"
@@ -105,19 +112,20 @@ def endpoints_signed(word) -> list[tuple[int, int]]:
     The sequence starts (1, 0), (0, 1) and appends the left column of each
     partial product by the recurrence of the module docstring; every
     consecutive pair satisfies n_j d_{j+1} - n_{j+1} d_j = +1 exactly.
-    DomainError unless every letter is an int, which the last pair shows.
+    DomainError unless word is an iterable of int letters, which the last
+    pair shows.
     """
     n0, d0, n1, d1 = 1, 0, 0, 1
-    pts, a = [(n0, d0), (n1, d1)], None
+    pts, a = [(n0, d0), (n1, d1)], 0
     try:
         for a in word:
             n0, d0, n1, d1 = n1, d1, a * n1 - n0, a * d1 - d0
             pts.append((n1, d1))
     except TypeError:
-        n1 = a  # the letter that failed
+        check_word(word, (a,))  # a is the letter that failed, if one did
+        raise
     if type(n1) is not int or type(d1) is not int:
-        check_ints("a letter", word)
-        check_ints("a letter", (n1, d1))  # word is an iterator the loop has spent
+        check_word(word, (n1, d1))
     return pts
 
 
@@ -134,10 +142,11 @@ def endpoints(word) -> list[Farey]:
 def turns_from_endpoints(pts) -> EdgeWord:
     """Recover the word from a based vertex sequence.
 
-    Vertices are Farey instances or raw integer pairs (n, d), taken as
-    given: the path must start (+-1, 0), (0, +-1), and consecutive
-    vertices must have determinant +-1 (an unreduced pair never does).
-    For each interior vertex the turn is
+    pts is a list or tuple, read as given, or another iterable, made a
+    tuple once.  Each vertex is a Farey or a raw integer pair (n, d),
+    unpacked where it stands and taken as given: the path must start
+    (+-1, 0), (0, +-1), and consecutive vertices must have determinant +-1
+    (an unreduced pair never does).  For each interior vertex the turn is
 
         a_j = (n_{j-1} d_{j+1} - n_{j+1} d_{j-1}) * sgn(D_{j-1}) * sgn(D_j),
 
@@ -146,22 +155,30 @@ def turns_from_endpoints(pts) -> EdgeWord:
     edge orientations correct its sign, which makes the result independent
     of the choice of representative sign at every vertex (in particular at
     interior visits to 1/0, where a fixed representative could not encode
-    the turn direction on its own).  DomainError unless every vertex part
-    is an int, which the sum of the letters and the last determinant shows.
+    the turn direction on its own).  DomainError unless every vertex is a
+    pair of ints, which the sum of the letters and the last determinant
+    shows; the vertices are looked at only when that test, the base edge or
+    an edge fails.
     """
-    pairs = [(p.n, p.d) if isinstance(p, Farey) else p for p in pts]
-    if len(pairs) < 2:
+    if not isinstance(pts, (list, tuple)):
+        check_iterable("a path", pts)
+        pts = tuple(pts)
+    if len(pts) < 2:
         raise WrongBaseEdgeError("need at least the two base vertices")
-    (n0, d0), (n1, d1) = pairs[0], pairs[1]
-    if d0 != 0 or n0 not in (1, -1) or n1 != 0 or d1 not in (1, -1):
-        n0, d0, n1, d1 = map(int_text, (n0, d0, n1, d1))
-        raise WrongBaseEdgeError(f"path must start 1/0, 0/1; got {n0}/{d0}, {n1}/{d1}")
-    det_prev = n0 * d1  # D_0, +-1
+    vertices = iter(pts)
     word = []
     try:
-        for n2, d2 in pairs[2:]:
+        (n0, d0), (n1, d1) = next(vertices), next(vertices)
+        if d0 != 0 or n0 not in (1, -1) or n1 != 0 or d1 not in (1, -1):
+            _check_vertices(pts)
+            n0, d0, n1, d1 = map(int_text, (n0, d0, n1, d1))
+            raise WrongBaseEdgeError(f"path must start 1/0, 0/1; got {n0}/{d0}, {n1}/{d1}")
+        # D_0 = +-1; adding the zero parts d0 and n1 carries their type to the trace
+        det_prev = n0 * d1 + d0 + n1
+        for n2, d2 in vertices:
             det = n1 * d2 - n2 * d1
             if det != 1 and det != -1:
+                _check_vertices(pts)
                 n1, d1, n2, d2, det = map(int_text, (n1, d1, n2, d2, det))
                 raise NotAnEdgeError(f"{n1}/{d1} -> {n2}/{d2} is not an edge (determinant {det})")
             # sgn(D) = D for D = +-1
@@ -169,8 +186,25 @@ def turns_from_endpoints(pts) -> EdgeWord:
             det_prev = det
             n0, d0, n1, d1 = n1, d1, n2, d2
         trace = sum(word, det_prev)
-    except TypeError:
-        trace = None
+    except DomainError:
+        raise
+    except (TypeError, ValueError):  # a vertex that does not unpack, or parts that do not multiply
+        _check_vertices(pts)
+        raise
     if type(trace) is not int:
-        check_ints("a vertex part", [x for pair in pairs for x in pair])
+        _check_vertices(pts)
     return tuple(word)
+
+
+def _check_vertices(pts) -> None:
+    """DomainError naming the first vertex that is not a pair of ints."""
+    for v in pts:
+        try:
+            pair = tuple(islice(v, 3))  # a vertex may be an endless iterator
+        except TypeError:
+            raise DomainError(f"a vertex must be a pair, not {type(v).__name__}") from None
+        if len(pair) != 2:
+            length = "3 or more" if len(pair) == 3 else len(pair)
+            raise DomainError(f"a vertex must be a pair, not a {type(v).__name__} "
+                              f"of length {length}")
+        check_ints("a vertex part", pair)

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from oracles import dedekind_sum_literal, sawtooth
 
-from rademacher.dedekind import dedekind_sum, rademacher_phi
+from rademacher.dedekind import _sigma, dedekind_sum, rademacher_phi
 from rademacher.errors import NotCoprimeError
 from rademacher.matrices import S, T, UnimodularMatrix, parse_matrix, sgn, t_power
 
@@ -90,6 +90,30 @@ def test_reciprocity(pair):
     lhs = dedekind_sum(h, k) + dedekind_sum(k, h)
     rhs = Fraction(-1, 4) + Fraction(h * h + k * k + 1, 12 * h * k)
     assert lhs == rhs
+
+
+def test_sigma_on_the_longest_euclid_chains():
+    # (F_n, F_{n+1}) has the longest Euclidean chain for its size, n - 1
+    # steps, so n = 1..80 leaves the two-step loop by both exits at every
+    # length up to 79; literal sums up to k = 2000, reciprocity
+    # h sigma(h, k) + k sigma(k, h) = h^2 + k^2 + 1 - 3 h k (12 h k times
+    # s(h, k) + s(k, h) = -1/4 + (h/k + k/h + 1/(h k))/12) beyond
+    h, k = 1, 1
+    for _ in range(80):
+        sigma = _sigma(h, k)
+        if k <= 2000:
+            assert Fraction(sigma, 12 * k) == dedekind_sum_literal(h, k), (h, k)
+        assert h * sigma + k * _sigma(k, h) == h * h + k * k + 1 - 3 * h * k, (h, k)
+        assert _sigma(-h, k) == -sigma and _sigma(h - 7 * k, k) == sigma, (h, k)
+        h, k = k, h + k
+
+
+def test_sigma_of_a_multiple_of_k_is_zero():
+    # s(0, 1) = 0, and h = 0 mod k leaves the loop before its first step
+    for h in (0, 1, -1, 7, -10**30):
+        assert _sigma(h, 1) == 0
+    for k in (2, 9, 10**20):
+        assert _sigma(0, k) == _sigma(3 * k, k) == _sigma(-k, k) == 0
 
 
 def test_closed_form_s1k():

@@ -49,18 +49,27 @@ def test_km_frozen():
 
 @pytest.mark.parametrize("word, kind", [
     ([1.5], "float"), (["a"], "str"), ([Fraction(2)], "Fraction"), ((3, -2.0, 1), "float"),
-    ((1, None), "NoneType"),
+    ((1, None), "NoneType"), ((1, "a", 2.5), "str"),
 ])
 def test_km_refuses_a_letter_that_is_not_an_int(word, kind):
-    # a float letter once gave a float symbol, and a str a bare TypeError
-    with pytest.raises(DomainError, match=f"^a letter must be an int, not {kind}$"):
-        km_phi(word)
+    # a float letter once gave a float symbol, and a str a bare TypeError;
+    # of an iterator the one pass has spent, the letter that failed or the
+    # trace it left names the type
+    for letters in (word, iter(word)):
+        with pytest.raises(DomainError, match=f"^a letter must be an int, not {kind}$"):
+            km_phi(letters)
     assert km_phi((True, 2)) == km_phi((1, 2))  # a bool is an int
 
 
 @given(any_words)
 def test_two_inertia_routes_agree(w):
-    assert inertia_elimination(w) == inertia_minors(w)
+    assert inertia_elimination(w) == inertia_minors(w) == inertia_minors(iter(w))
+
+
+@given(any_words)
+def test_km_reads_any_iterable_once(w):
+    assert km_phi(iter(w)) == km_phi(tuple(w)) == km_phi(list(w))
+    assert km_phi(a for a in w) == km_phi(w)
 
 
 @given(any_words)

@@ -1,5 +1,7 @@
 import random
+import re
 from fractions import Fraction
+from itertools import count
 
 import pytest
 from conftest import (
@@ -16,6 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rademacher.errors import DomainError, NotAnEdgeError, ParseError, WrongBaseEdgeError
+from rademacher.inertia import km_phi
 from rademacher.matrices import S, T, UnimodularMatrix, t_power
 from rademacher.words import (
     INFINITY,
@@ -44,6 +47,13 @@ def test_farey_normalization():
     assert str(Farey(-1, 0)) == "1/0" and Farey(-5, 0).n == 1
     with pytest.raises(ParseError):
         Farey(0, 0)
+
+
+def test_farey_unpacks_as_its_pair():
+    n, d = Farey(3, 8)
+    assert (n, d) == (3, 8)
+    assert tuple(INFINITY) == tuple(Farey(-5, 0)) == (1, 0)
+    assert list(Farey(6, -16)) == [-3, 8]
 
 
 def test_is_edge():
@@ -155,6 +165,7 @@ def test_turns_errors():
 
 @pytest.mark.parametrize("word, kind", [
     ([0.5], "float"), (["a"], "str"), ((1, 2, 0.0, 3), "float"), ([Fraction(1)], "Fraction"),
+    ((1, "a", 2.5), "str"),
 ])
 def test_a_letter_that_is_not_an_int_is_refused(word, kind):
     # endpoints_signed once returned float pairs; reconstruct and endpoints
@@ -168,11 +179,55 @@ def test_a_letter_that_is_not_an_int_is_refused(word, kind):
 @pytest.mark.parametrize("pts, kind", [
     ([(1, 0), (0, 1), (1.0, 1)], "float"), ([(1.0, 0), (0, 1)], "float"),
     ([(1, 0), (0, 1), ("a", 1)], "str"), ([(1, 0), (0, 1), (-1, Fraction(2))], "Fraction"),
+    ([(1, 0.0), (0, 1)], "float"), ([(1, 0), (Fraction(0), 1)], "Fraction"),
 ])
 def test_a_vertex_part_that_is_not_an_int_is_refused(pts, kind):
-    # turns_from_endpoints once returned (-1.0,) for the first path
+    # turns_from_endpoints once returned (-1.0,) for the first path, and ()
+    # for a base edge with a zero part that is not an int
     with pytest.raises(DomainError, match=f"^a vertex part must be an int, not {kind}$"):
         turns_from_endpoints(pts)
+
+
+@pytest.mark.parametrize("call, arg, message", [
+    (km_phi, 5, "a word must be iterable, not int"),
+    (km_phi, None, "a word must be iterable, not NoneType"),
+    (endpoints_signed, 5, "a word must be iterable, not int"),
+    (reconstruct, None, "a word must be iterable, not NoneType"),
+    (turns_from_endpoints, 5, "a path must be iterable, not int"),
+    (turns_from_endpoints, [(1, 0), (0, 1), 5], "a vertex must be a pair, not int"),
+    (turns_from_endpoints, [5, (0, 1)], "a vertex must be a pair, not int"),
+    (turns_from_endpoints, [(1, 0), (0, 1), (1, 2, 3)],
+     "a vertex must be a pair, not a tuple of length 3 or more"),
+    (turns_from_endpoints, [(1, 0), (0, 1), [1]],
+     "a vertex must be a pair, not a list of length 1"),
+    (turns_from_endpoints, [(1, 0), (0, 1), count()],
+     "a vertex must be a pair, not a count of length 3 or more"),
+    (turns_from_endpoints, [(1, 0), (0, 1), (2.0, 1)], "a vertex part must be an int, not float"),
+    (turns_from_endpoints, [(2.0, 0), (0, 1)], "a vertex part must be an int, not float"),
+    (turns_from_endpoints, [(1.0, 0), (0, 1), (2, 5)], "a vertex part must be an int, not float"),
+    (turns_from_endpoints, iter([(1, 0), (0, 1), (1.0, 1)]),
+     "a vertex part must be an int, not float"),
+])
+def test_a_word_or_path_of_the_wrong_shape_is_refused(call, arg, message):
+    # each once ended in a bare TypeError or ValueError, or in not_an_edge
+    # with a float determinant
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$") as info:
+        call(arg)
+    assert info.value.code == "domain"
+
+
+@pytest.mark.parametrize("good", [(), (2,), (2, -1)])
+@pytest.mark.parametrize("call", [endpoints_signed, km_phi])
+def test_a_failing_iterator_is_not_cut_short(call, good):
+    # a TypeError that names no bad letter is raised again, where
+    # endpoints_signed once returned the path up to it, and an iterator
+    # that failed before its first letter was said to hold a NoneType one
+    def letters():
+        yield from good
+        raise TypeError("from the iterator")
+
+    with pytest.raises(TypeError, match="^from the iterator$"):
+        call(letters())
 
 
 @given(any_words)
@@ -191,11 +246,15 @@ def test_canonical_endpoints_are_edges(w):
         assert u.d >= 0 and is_edge(u, v)
 
 
-@given(any_words)
-def test_turn_recovery_identity(w):
-    # holds for arbitrary words, zero exponents and backtracking included
-    assert turns_from_endpoints(endpoints(w)) == w
-    assert turns_from_endpoints(endpoints_signed(w)) == w
+@given(any_words, st.lists(st.booleans(), min_size=10, max_size=10))
+def test_turn_recovery_identity(w, raw):
+    # holds for arbitrary words, zero exponents and backtracking included,
+    # from Farey vertices, raw pairs or a mix, in any iterable
+    signed, canonical = endpoints_signed(w), endpoints(w)
+    mixed = [p if raw[i % 10] else v for i, (p, v) in enumerate(zip(signed, canonical))]
+    for pts in (signed, canonical, mixed):
+        for form in (tuple, list, iter, lambda vs: (v for v in vs)):
+            assert turns_from_endpoints(form(pts)) == w
 
 
 @given(any_words, st.lists(st.booleans(), min_size=10, max_size=10))
