@@ -52,7 +52,8 @@ once: no mpmath context is read or written, and mpc objects only wrap results.
 
 The level-p law is the classical one with log eta_p, Phi_p, and on the W_p
 coset the integer matrix sqrt(p) e of determinant p, so both verify functions
-are one call to _verify with the level (p = 1 for the classical law) and the
+are one call to _verify with the symbol, computed first so that it refuses a
+value of the wrong type, the level (p = 1 for the classical law) and the
 matrix.  Its automorphy term (1/2) Log w, w = (c z + d) / (i sgn c sqrt det),
 is Log(w^2) / 4, folded into the one Log of the right side.  P that is not an
 int in [MIN_PRECISION, MAX_PRECISION] is refused once per public call, before
@@ -609,7 +610,7 @@ def _guarded_points(z, a, b, c, d, prec: int, p: int):
     return (from_man_exp(x, -s), from_man_exp(y, -s)), gz, guard, w2
 
 
-def _verify(p: int, m, phi, z, prec: int) -> VerificationReport:
+def _verify(phi, p: int, m, z, prec: int) -> VerificationReport:
     """Check log eta_p(g z) against log eta_p(z) + (pi i / 12) phi
     + (1/2) sgn(c)^2 Log((c z + d)/(i sgn c sqrt det)) for the integer
     matrix m = (a, b; c, d) of determinant det; p = 1 is the classical law."""
@@ -630,7 +631,7 @@ def verify_eta_transform(
     """Check log eta(g z) against
     log eta(z) + (1/2) sgn(c)^2 Log((c z + d)/(i sgn c)) + (pi i / 12) Phi(g).
     """
-    return _verify(1, g.entries(), rademacher_phi(g), z, prec)
+    return _verify(rademacher_phi(g), 1, g.entries(), z, prec)
 
 
 def verify_theorem1(
@@ -639,4 +640,4 @@ def verify_theorem1(
     """Check the level-p law log eta_p(e z) =
     log eta_p(z) + (1/2) sgn(c)^2 Log((c z + d)/(i sgn c)) + (pi i / 12) Phi_p(e),
     with (a, b, c, d) the real entries of e (sqrt p enters only here)."""
-    return _verify(e.p, e.integer_matrix()[0], phi_p(e), z, prec)
+    return _verify(phi_p(e), e.p, e.integer_matrix()[0], z, prec)

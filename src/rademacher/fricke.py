@@ -24,6 +24,7 @@ import random
 from fractions import Fraction
 
 from .dedekind import _phi
+from .errors import DomainError
 from .inertia import km_phi
 from .matrices import GAMMA0, FrickeElement, UnimodularMatrix, check_odd_prime, sgn, t_power
 from .words import _descend
@@ -53,6 +54,8 @@ def _gamma0_part(e: FrickeElement) -> tuple[int, tuple[int, int, int, int], int]
     -beta), in Gamma0(p) as its constructor checked p alpha delta - beta
     gamma = 1.  The correction is -3 sgn(-a c) = 3 sgn(alpha gamma).
     """
+    if not isinstance(e, FrickeElement):
+        raise DomainError(f"e must be a FrickeElement, not {type(e).__name__}")
     if e.kind == GAMMA0:
         return e.p, e.q, 0
     al, be, ga, de = e.q

@@ -9,20 +9,21 @@ which equals the Rademacher symbol of the reconstructed product (tested
 exhaustively).  The signature comes from the signs of the leading
 principal minors (Sylvester's law of inertia, as in Kirby-Melvin,
 "Dedekind sums, mu-invariants and the signature cocycle", Math. Ann. 299
-(1994)), in integer arithmetic only.  km_phi, inertia_minors and
-tridiag_signature read one pass, _inertia, that takes each letter once
-for the trace and the minors, so km_phi takes any iterable.  A symmetric
-elimination with rational pivots is kept as an independent oracle under
-tests/.
+(1994)), in integer arithmetic only.  The four functions read one pass,
+_inertia, that takes each letter once for the trace and the minors, so
+they refuse alike.  A word is any iterable: a list or tuple is read as
+given, and anything else is copied to a tuple once by matrices.sequence.
+A symmetric elimination with rational pivots is kept as an independent
+oracle under tests/.
 """
 
 from __future__ import annotations
 
-from .matrices import check_word
+from .matrices import check_ints, sequence
 
 
 def tridiag_trace(word) -> int:
-    return sum(word)
+    return _inertia(word)[0]
 
 
 def _inertia(word) -> tuple[int, int, int, int]:
@@ -36,14 +37,13 @@ def _inertia(word) -> tuple[int, int, int, int]:
     DomainError unless word is an iterable of int letters, which the trace
     shows.
     """
-    trace = k = changes = 0
-    # negative: the sign of the last nonzero minor; a = 0 names no bad letter
-    # when an iterator fails before its first one
-    d, d_prev, negative, a = 1, 0, False, 0
+    if type(word) is not tuple and type(word) is not list:
+        word = sequence("a word", word)
+    trace = changes = 0
+    d, d_prev, negative = 1, 0, False  # negative: the sign of the last nonzero minor
     try:
         for a in word:
             trace += a
-            k += 1
             d, d_prev = a * d - d_prev, d
             if d > 0:
                 if negative:
@@ -52,12 +52,12 @@ def _inertia(word) -> tuple[int, int, int, int]:
             elif d and not negative:
                 changes += 1
                 negative = True
-    except TypeError:
-        check_word(word, (a,))  # a is the letter that failed, if one did
+    except (TypeError, ArithmeticError):
+        check_ints("a letter", word)
         raise
     if type(trace) is not int:
-        check_word(word, (trace,))
-    return trace, k, changes, 0 if d else 1
+        check_ints("a letter", word)
+    return trace, len(word), changes, 0 if d else 1
 
 
 def inertia_minors(word) -> tuple[int, int, int]:
@@ -72,7 +72,7 @@ def tridiag_signature(word) -> int:
 
 
 def km_phi(word) -> int:
-    """trace - 3 * signature of the word's tridiagonal matrix, from one pass
-    over any iterable; DomainError unless its letters are ints."""
+    """trace - 3 * signature of the word's tridiagonal matrix, from one pass;
+    DomainError unless its letters are ints."""
     trace, k, changes, n_zero = _inertia(word)
     return trace - 3 * (k - n_zero - 2 * changes)

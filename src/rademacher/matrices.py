@@ -8,9 +8,9 @@ in the coset W_p Gamma0(p), stored exactly through the normal form
     (1/sqrt p) (p*alpha, beta; p*gamma, p*delta),   p*alpha*delta - beta*gamma = 1.
 
 All arithmetic is exact; sqrt(p) never appears outside the eta module.
-Each value type takes int entries only.  The number grammars of the
-command line live here too: integer, and the rational one _is_number
-gates.
+Each value type takes int entries only; sequence reads every word, path
+and element quadruple.  The number grammars of the command line live
+here too: integer, and the rational one _is_number gates.
 """
 
 from __future__ import annotations
@@ -94,24 +94,14 @@ def check_ints(what: str, values) -> None:
             raise DomainError(f"{what} must be an int, not {type(x).__name__}")
 
 
-def check_iterable(what: str, values) -> None:
-    """DomainError naming the type of values unless it is iterable."""
+def sequence(what: str, values) -> tuple:
+    """values copied to a tuple once; DomainError naming its type unless it is
+    iterable.  Callers pass a list or tuple on by an inline type test, at no call."""
     try:
-        iter(values)
+        values = iter(values)
     except TypeError:
         raise DomainError(f"{what} must be iterable, not {type(values).__name__}") from None
-
-
-def check_word(word, seen) -> None:
-    """DomainError naming what is wrong with a word whose letter loop failed
-    or gave a result that is not an int: the word is not iterable, or its
-    first letter that is not an int.  An iterator the loop has read is not
-    read again: seen (the letter that failed, or the loop's results) names
-    the type."""
-    check_iterable("a word", word)
-    if iter(word) is not word:
-        check_ints("a letter", word)
-    check_ints("a letter", seen)
+    return tuple(values)
 
 
 def check_odd_prime(p: int) -> None:
@@ -282,9 +272,12 @@ class FrickeElement(_Value):
 
     def __init__(self, p: int, kind: str, q: tuple[int, int, int, int]):
         check_odd_prime(p)
-        q = tuple(q)  # a list would be unhashable and unequal to its tuple twin
-        a, b, c, d = q
+        if type(q) is not tuple:  # a list would be unhashable and unequal to its tuple twin
+            q = sequence("an element quadruple", q)
+        if len(q) != 4:
+            raise DomainError(f"an element quadruple must have 4 entries, not {len(q)}")
         check_ints("an element entry", q)
+        a, b, c, d = q
         if kind == GAMMA0:
             if a * d - b * c != 1:
                 raise DeterminantError("Gamma0 part must have determinant 1")
@@ -297,7 +290,8 @@ class FrickeElement(_Value):
                     f"got {int_text(p * a * d - b * c)}"
                 )
         else:
-            raise ValueError(f"unknown kind {kind!r}")
+            what = repr(kind) if type(kind) is str else f"of type {type(kind).__name__}"
+            raise DomainError(f"unknown kind {what}, expected {GAMMA0!r} or {COSET!r}")
         _set(self, "p", p)
         _set(self, "kind", kind)
         _set(self, "q", q)
@@ -318,7 +312,7 @@ class FrickeElement(_Value):
     def matrix(self) -> UnimodularMatrix:
         """The Gamma0 part as a UnimodularMatrix; COSET has none."""
         if self.kind != GAMMA0:
-            raise ValueError("coset element has no integer SL2 matrix")
+            raise DomainError("a coset element has no integer SL2 matrix")
         return UnimodularMatrix(*self.q)
 
     def integer_matrix(self) -> tuple[tuple[int, int, int, int], int]:

@@ -18,8 +18,10 @@ from (n_{-1}, d_{-1}) = (1, 0) and (n_0, d_0) = (0, 1).  endpoints_signed
 runs it; reconstruct reads the product off its last two columns.
 decompose inverts this up to sign, endpoints and turns_from_endpoints
 convert between words and vertex sequences.  endpoints_signed and
-turns_from_endpoints read their input once, in one loop; they look at its
-shape and types only when that loop, or the type of its result, fails.
+turns_from_endpoints read their input once (matrices.sequence), in one
+loop, with the int held as the left factor of every product, so that a
+letter or vertex part never runs its own __mul__; they look at its shape
+and types only when that loop, or the type of its result, fails.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from itertools import islice
 from math import gcd
 
 from .errors import DomainError, NotAnEdgeError, ParseError, WrongBaseEdgeError
-from .matrices import UnimodularMatrix, _Value, check_ints, check_iterable, check_word, int_text
+from .matrices import UnimodularMatrix, _Value, check_ints, int_text, sequence
 
 EdgeWord = tuple[int, ...]
 
@@ -115,17 +117,19 @@ def endpoints_signed(word) -> list[tuple[int, int]]:
     DomainError unless word is an iterable of int letters, which the last
     pair shows.
     """
+    if type(word) is not tuple and type(word) is not list:
+        word = sequence("a word", word)
     n0, d0, n1, d1 = 1, 0, 0, 1
-    pts, a = [(n0, d0), (n1, d1)], 0
+    pts = [(n0, d0), (n1, d1)]
     try:
         for a in word:
-            n0, d0, n1, d1 = n1, d1, a * n1 - n0, a * d1 - d0
+            n0, d0, n1, d1 = n1, d1, n1 * a - n0, d1 * a - d0
             pts.append((n1, d1))
-    except TypeError:
-        check_word(word, (a,))  # a is the letter that failed, if one did
+    except (TypeError, ArithmeticError, MemoryError):  # MemoryError: a str letter repeated
+        check_ints("a letter", word)
         raise
     if type(n1) is not int or type(d1) is not int:
-        check_word(word, (n1, d1))
+        check_ints("a letter", word)
     return pts
 
 
@@ -142,9 +146,8 @@ def endpoints(word) -> list[Farey]:
 def turns_from_endpoints(pts) -> EdgeWord:
     """Recover the word from a based vertex sequence.
 
-    pts is a list or tuple, read as given, or another iterable, made a
-    tuple once.  Each vertex is a Farey or a raw integer pair (n, d),
-    unpacked where it stands and taken as given: the path must start
+    pts is any iterable.  Each vertex is a Farey or a raw integer pair
+    (n, d), unpacked where it stands and taken as given: the path must start
     (+-1, 0), (0, +-1), and consecutive vertices must have determinant +-1
     (an unreduced pair never does).  For each interior vertex the turn is
 
@@ -160,9 +163,8 @@ def turns_from_endpoints(pts) -> EdgeWord:
     shows; the vertices are looked at only when that test, the base edge or
     an edge fails.
     """
-    if not isinstance(pts, (list, tuple)):
-        check_iterable("a path", pts)
-        pts = tuple(pts)
+    if type(pts) is not tuple and type(pts) is not list:
+        pts = sequence("a path", pts)
     if len(pts) < 2:
         raise WrongBaseEdgeError("need at least the two base vertices")
     vertices = iter(pts)
@@ -176,20 +178,20 @@ def turns_from_endpoints(pts) -> EdgeWord:
         # D_0 = +-1; adding the zero parts d0 and n1 carries their type to the trace
         det_prev = n0 * d1 + d0 + n1
         for n2, d2 in vertices:
-            det = n1 * d2 - n2 * d1
+            det = n1 * d2 - d1 * n2
             if det != 1 and det != -1:
                 _check_vertices(pts)
                 n1, d1, n2, d2, det = map(int_text, (n1, d1, n2, d2, det))
                 raise NotAnEdgeError(f"{n1}/{d1} -> {n2}/{d2} is not an edge (determinant {det})")
             # sgn(D) = D for D = +-1
-            word.append((n0 * d2 - n2 * d0) * det_prev * det)
+            word.append((n0 * d2 - d0 * n2) * det_prev * det)
             det_prev = det
             n0, d0, n1, d1 = n1, d1, n2, d2
         trace = sum(word, det_prev)
     except DomainError:
         raise
-    except (TypeError, ValueError):  # a vertex that does not unpack, or parts that do not multiply
-        _check_vertices(pts)
+    except (TypeError, ValueError, ArithmeticError, MemoryError):
+        _check_vertices(pts)  # a vertex that does not unpack, or parts that do not multiply
         raise
     if type(trace) is not int:
         _check_vertices(pts)

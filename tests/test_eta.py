@@ -36,7 +36,7 @@ from rademacher.eta import (
     verify_eta_transform,
     verify_theorem1,
 )
-from rademacher.fricke import k_of_p, random_gamma0
+from rademacher.fricke import k_of_p, phi_p, phi_p_geometric, random_gamma0
 from rademacher.matrices import S, T, FrickeElement, UnimodularMatrix, fricke_involution
 from rademacher.words import reconstruct
 
@@ -111,6 +111,24 @@ def test_a_point_that_is_not_a_number_raises(z):
     # refused before mpmath's string reader sees text: "abc" used to end
     # in a bare ValueError, None in a TypeError
     _assert_refused_everywhere(z, "must be an int")
+
+
+GAMMA0_5 = FrickeElement.gamma0(5, UnimodularMatrix(1, 0, 5, 1))
+
+
+@pytest.mark.parametrize("call, kind, other", [
+    (phi_p, "FrickeElement", S),
+    (phi_p_geometric, "FrickeElement", S),
+    (lambda e: verify_theorem1(e, 0.1 + 1j), "FrickeElement", S),
+    (lambda g: verify_eta_transform(g, 0.1 + 1j), "UnimodularMatrix", GAMMA0_5),
+], ids=["phi_p", "phi_p_geometric", "verify_theorem1", "verify_eta_transform"])
+@pytest.mark.parametrize("arg", ["tuple", "other", "None"])
+def test_an_element_function_refuses_another_type(call, kind, other, arg):
+    # each ended in an AttributeError: the symbol is now computed first, and
+    # its function refuses the type where it reads the value
+    value = {"tuple": (1, 0, 5, 1), "other": other, "None": None}[arg]
+    with pytest.raises(DomainError, match=f"must be an? {kind}, not {type(value).__name__}$"):
+        call(value)
 
 
 def _assert_refused_everywhere(z, match=None):

@@ -61,6 +61,18 @@ def test_km_refuses_a_letter_that_is_not_an_int(word, kind):
     assert km_phi((True, 2)) == km_phi((1, 2))  # a bool is an int
 
 
+@pytest.mark.parametrize("call", [tridiag_trace, tridiag_signature, inertia_minors, km_phi])
+@pytest.mark.parametrize("word, message", [
+    (lambda: [1.5], "a letter must be an int, not float"),
+    (lambda: iter([2, 1.5]), "a letter must be an int, not float"),
+    (lambda: 5, "a word must be iterable, not int"),
+], ids=["list", "iterator", "int"])
+def test_the_inertia_functions_refuse_alike(call, word, message):
+    # tridiag_trace once returned 1.5 for the list, as sum() did
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        call(word())
+
+
 @given(any_words)
 def test_two_inertia_routes_agree(w):
     assert inertia_elimination(w) == inertia_minors(w) == inertia_minors(iter(w))

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 import time
 
 import pytest
@@ -170,6 +171,29 @@ def test_fricke_list_quadruple_is_its_tuple_twin():
     e = FrickeElement(5, GAMMA0, [1, 0, 5, 1])
     twin = FrickeElement.gamma0(5, UnimodularMatrix(1, 0, 5, 1))
     assert e == twin and hash(e) == hash(twin) and e.q == (1, 0, 5, 1)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: FrickeElement(5, GAMMA0, (1, 0, 5)),
+     "an element quadruple must have 4 entries, not 3"),
+    (lambda: FrickeElement(5, COSET, [0, -1, 1, 0, 0]),
+     "an element quadruple must have 4 entries, not 5"),
+    (lambda: FrickeElement(5, GAMMA0, None), "an element quadruple must be iterable, not NoneType"),
+    (lambda: FrickeElement(5, GAMMA0, 5), "an element quadruple must be iterable, not int"),
+    (lambda: FrickeElement(5, GAMMA0, iter([1, 0, 5.0, 1])), "an element entry must be an int, not float"),
+    (lambda: FrickeElement(5, "other", (1, 0, 0, 1)),
+     "unknown kind 'other', expected 'gamma0' or 'fricke_coset'"),
+    (lambda: FrickeElement(5, 10**5000, (1, 0, 5, 1)), "unknown kind of type int, expected 'gamma0' or 'fricke_coset'"),
+    (lambda: fricke_involution(5).matrix, "a coset element has no integer SL2 matrix"),
+], ids=["short", "long", "None", "int", "iterator", "kind", "kind-type", "coset-matrix"])
+def test_a_fricke_element_names_its_fault(build, message):
+    # these were a bare ValueError ("not enough values to unpack"), a bare
+    # TypeError, and a plain ValueError for the unknown kind and the matrix;
+    # a kind that is not a str is named by its type, as an int past 4300
+    # digits has no repr
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$") as info:
+        build()
+    assert info.value.code == "domain" and isinstance(info.value, ValueError)
 
 
 def test_fricke_matrix_view():

@@ -1,5 +1,6 @@
 import random
 import re
+from decimal import Decimal
 from fractions import Fraction
 from itertools import count
 
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 from rademacher.errors import DomainError, NotAnEdgeError, ParseError, WrongBaseEdgeError
 from rademacher.inertia import km_phi
-from rademacher.matrices import S, T, UnimodularMatrix, t_power
+from rademacher.matrices import S, T, UnimodularMatrix, fricke_involution, t_power
 from rademacher.words import (
     INFINITY,
     Farey,
@@ -214,6 +215,39 @@ def test_a_word_or_path_of_the_wrong_shape_is_refused(call, arg, message):
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$") as info:
         call(arg)
     assert info.value.code == "domain"
+
+
+@pytest.mark.parametrize("call, letters", [(km_phi, [1.5, "a"]), (endpoints_signed, [1, 2.5, None])])
+def test_an_iterator_is_refused_as_its_list(call, letters):
+    # an iterator once named the letter that failed ("not str", "not
+    # NoneType"), where its list names the first that is not an int
+    for word in (letters, iter(letters)):
+        with pytest.raises(DomainError, match="^a letter must be an int, not float$"):
+            call(word)
+
+
+BIG = 2**61  # a str repeated this often is past any memory
+
+
+@pytest.mark.parametrize("call, arg, kind", [
+    (km_phi, [Decimal("NaN")], "Decimal"),
+    (endpoints_signed, [2, Decimal("sNaN")], "Decimal"),
+    (turns_from_endpoints, [(1, 0), (0, 1), (Decimal("NaN"), 1)], "Decimal"),
+    (km_phi, [10**400, 1.5], "float"),
+    (endpoints_signed, [1.5, 10**400, 3], "float"),
+    (turns_from_endpoints, [(1, 0), (0, 1), (1.0, 1), (10**400, 1)], "float"),
+    (endpoints_signed, [UnimodularMatrix(2, 1, 1, 1)], "UnimodularMatrix"),
+    (turns_from_endpoints, [(1, 0), (0, 1), (1, 1), (fricke_involution(5), 1)], "FrickeElement"),
+    (endpoints_signed, [0, -BIG, "0"], "str"),
+    (turns_from_endpoints, [(1, 0), (0, 1), (-1, BIG), ("s", 1)], "str"),
+])
+def test_a_letter_or_part_that_breaks_the_arithmetic_is_refused(call, arg, kind):
+    # each ended in the arithmetic's own error: decimal.InvalidOperation,
+    # OverflowError (int too large to convert to float), AttributeError
+    # (the value's own __mul__) or MemoryError
+    what = "a vertex part" if call is turns_from_endpoints else "a letter"
+    with pytest.raises(DomainError, match=f"^{what} must be an int, not {kind}$"):
+        call(arg)
 
 
 @pytest.mark.parametrize("good", [(), (2,), (2, -1)])
